@@ -14,14 +14,12 @@ from .errors import (AmbiguousProduct, BadExponent, BadMeasure,
                      CharacterizationMismatch, ClosureViolation, DependentBasis,
                      EmptyFamily, FamilyNotBalanced, MissingUnit, NotInA0,
                      NotIps, NotSufficient, NotWellDefined, ParseError,
-                     QStarError, UnitRequired, ZeroForm, ZeroFunction)
+                     QStarError, ZeroForm, ZeroFunction)
 from .forms import (FamilyReport, FormFamily, FormReport, IpsForm,
                     SufficiencyReport, check_sufficiency, degeneracy_residuals,
-                    form_equal, form_eval, form_proportional,
-                    invariance_residual, is_dense, twist, validate_family,
-                    validate_ips_form)
-from .gns import (GnsRep, build_gns, reconstruction_defect, rep_matrix,
-                  rep_norm)
+                    form_equal, form_proportional, invariance_residual,
+                    is_dense, twist, validate_family, validate_ips_form)
+from .gns import GnsRep, build_gns, reconstruction_defect
 from .lp_model import (DiscreteLpAlgebra, ball_lower_seminorm_nonneg,
                        build_lp_instance, conjugate_index, holder_sup,
                        lp_bounded_norm, weight_ascent_oracle)

@@ -11,6 +11,7 @@ against the declared basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,9 @@ class QuasiAlgebraInstance:
         sub = np.column_stack([self.basis[i].reshape(-1) for i in self.a0_indices])
         self._pinv_a0 = np.linalg.pinv(sub)
         self._bmat_a0 = sub
-        self._memo = {}
+        star = np.column_stack([m.conj().T.reshape(-1) for m in self.basis])
+        S = self._pinv @ star
+        self._star = (S, float(np.abs(self._bmat @ S - star).max(initial=0.0)))
 
     # -- membership ---------------------------------------------------------
 
@@ -180,14 +183,20 @@ class QuasiAlgebraInstance:
         return L, res
 
     def star_matrix(self):
-        """Coefficient matrix of the involution: column i holds coeffs(a_i^H)."""
-        key = "star"
-        if key not in self._memo:
-            prods = np.column_stack([self.basis[i].conj().T.reshape(-1) for i in range(self.dim)])
-            S = self._pinv @ prods
-            res = float(np.abs(self._bmat @ S - prods).max(initial=0.0))
-            self._memo[key] = (S, res)
-        return self._memo[key]
+        """Coefficient matrix of the involution: column i holds coeffs(a_i^H).
+        Returns ``(S, max_residual)``."""
+        return self._star
+
+    @cached_property
+    def right_mult_table(self):
+        """``(R0, rel_res)``: ``R0[j]`` is the right-multiplication matrix of
+        the j-th subalgebra basis element and ``rel_res[j]`` its residual
+        relative to that element's norm, for callers to judge at their tol."""
+        mats, res = zip(*(self.right_mult_matrix(self.basis[j]) for j in self.a0_indices))
+        scale = [max(float(np.linalg.norm(self.basis[j])), 1e-300) for j in self.a0_indices]
+        R0 = np.stack(mats)
+        R0.setflags(write=False)
+        return R0, np.array(res) / scale
 
     # -- serialization ------------------------------------------------------
 

@@ -28,16 +28,15 @@ import numpy as np
 
 from .algebra import Element, QuasiAlgebraInstance
 from .errors import (AmbiguousProduct, CharacterizationMismatch, FamilyNotBalanced,
-                     NotIps, NotSufficient, NotWellDefined)
-from .forms import FormFamily, _a0_right_mults
-from .gns import build_gns
+                     NotSufficient, NotWellDefined)
+from .forms import FormFamily, _right_mults
 from .report import CheckResult
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
 def _pairing_matrix(a: Element, G, R0, a0_idx):
     """Q with Q[j, k] = phi(a.x_k, x_j) over the subalgebra basis."""
-    AX = np.column_stack([R0[k] @ a.coeffs for k in range(len(R0))])
+    AX = (R0 @ a.coeffs).T
     return (G @ AX)[a0_idx, :], AX
 
 
@@ -70,11 +69,10 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
     """
     if not family.balanced:
         raise FamilyNotBalanced("the positive wedge is defined for balanced families")
-    R0 = _a0_right_mults(alg, tol)
+    R0 = _right_mults(alg, tol)
     a0_idx = np.asarray(alg.a0_indices)
     report = ConeReport(member=True)
-    for phi in family.seeds:
-        G = phi.gram(alg)
+    for phi, G in zip(family.seeds, family.context(alg, tol).seed_grams):
         Q, _ = _pairing_matrix(a, G, R0, a0_idx)
         scale = max(float(np.linalg.norm(Q, 2)),
                     float(np.linalg.norm(G, 2)) * max(a.norm_frobenius(), 1.0) * 1e-8,
@@ -123,16 +121,13 @@ def cone_intersection_null(family: FormFamily, alg: QuasiAlgebraInstance,
     """
     if not family.balanced:
         raise FamilyNotBalanced("the positive wedge is defined for balanced families")
-    R0 = _a0_right_mults(alg, tol)
-    a0_idx = np.asarray(alg.a0_indices)
+    R0 = _right_mults(alg, tol)
+    n0 = alg.a0_dim
     blocks = []
-    for phi in family.seeds:
-        G = phi.gram(alg)
-        cols = []
-        for i in range(alg.dim):
-            Q, _ = _pairing_matrix(alg.basis_element(i), G, R0, a0_idx)
-            cols.append(Q.reshape(-1))
-        M = np.column_stack(cols)
+    for G in family.context(alg, tol).seed_grams:
+        # column i is vec(Q) for the basis element a_i: Q[j, k] = GR[k, j, i]
+        GR = G[np.asarray(alg.a0_indices), :] @ R0
+        M = GR.transpose(1, 0, 2).reshape(n0 * n0, alg.dim)
         gn = float(np.linalg.norm(M, 2))
         if gn > 0:
             blocks.append(M / gn)
@@ -219,7 +214,8 @@ def m_bounded_norm(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
             f"family {family.label!r} does not separate points "
             f"(null dimension {suff.dim_null}); the norm is not definite")
 
-    R0 = _a0_right_mults(alg, tol)
+    ctx = family.context(alg, tol)
+    R0 = _right_mults(alg, tol)
     a0_idx = np.asarray(alg.a0_indices)
     herm = a.is_hermitian()
 
@@ -227,34 +223,19 @@ def m_bounded_norm(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
     pencil_vals = []
     quad_vals = []
     radius_vals = []
-    for phi in family.seeds:
-        G = phi.gram(alg)
-        G0 = phi.a0_gram(alg)
-        w, V = np.linalg.eigh((G0 + G0.conj().T) / 2.0)
-        wmax = float(np.abs(w).max(initial=0.0))
-        keep = w > tol.rank * max(wmax, 1e-300)
-        if not np.any(keep):
+    for phi, G, sec in zip(family.seeds, ctx.seed_grams, ctx.sections):
+        if not sec.w.size:
             continue
-        section = V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep]))
-        null_dirs = V[:, ~keep]
-
         Q, AX = _pairing_matrix(a, G, R0, a0_idx)
         T = AX.conj().T @ G @ AX
         T = (T + T.conj().T) / 2.0
 
-        leak = 0.0
-        if null_dirs.shape[1]:
-            leak_mat = null_dirs.conj().T @ T @ null_dirs
-            leak = float(np.abs(np.linalg.eigvalsh(
-                (leak_mat + leak_mat.conj().T) / 2.0)).max(initial=0.0))
-        leak_rel = leak / max(wmax, 1e-300)
+        leak_rel = sec.leak(T) / max(sec.wmax, 1e-300)
         if leak_rel > tol.psd * max(1.0, a.norm_frobenius() ** 2):
             pencil = float("inf")
         else:
-            B = section.conj().T @ T @ section
-            top = float(np.linalg.eigvalsh((B + B.conj().T) / 2.0).max(initial=0.0))
-            pencil = float(np.sqrt(max(top, 0.0)))
-        Qs = section.conj().T @ Q @ section
+            pencil = sec.gain(T)
+        Qs = sec.section.conj().T @ Q @ sec.section
         radius = _numerical_radius(Qs)
         quad = None
         if herm:
@@ -272,8 +253,8 @@ def m_bounded_norm(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
     pencil_val = max(pencil_vals, default=0.0)
 
     gns_val = 0.0
-    for phi in family.dense_forms(alg, tol):
-        gns_val = max(gns_val, build_gns(phi, alg, tol).rep_norm(a))
+    for rep in ctx.reps:
+        gns_val = max(gns_val, rep.rep_norm(a))
 
     routes = {"gns": gns_val, "pencil": pencil_val,
               "radius": max(radius_vals, default=0.0)}
@@ -324,45 +305,28 @@ def weak_product(a: Element, b: Element, family: FormFamily, alg: QuasiAlgebraIn
     pick one representative of a coset.  An inconsistent system raises
     ``NotWellDefined``.  Returns ``(element, report)``.
     """
-    forms = family.forms(alg, tol)
-    R0 = _a0_right_mults(alg, tol)
-    a_star = a.star().coeffs
-    n0 = alg.a0_dim
-
-    rows = []
-    rhs = []
-    labels = []
-    for phi in forms:
-        G = phi.gram(alg)
-        gn = float(np.linalg.norm(G, 2))
-        if gn == 0.0:
-            continue
-        labels.append(phi.label)
-        for j in range(n0):
-            GR = (G @ R0[j]) / gn
-            bx = R0[j] @ b.coeffs
-            for k in range(n0):
-                rows.append(GR[alg.a0_indices[k], :])
-                v = R0[k] @ a_star
-                rhs.append(complex(v.conj() @ G @ bx) / gn)
-    M = np.array(rows)
-    r = np.array(rhs)
-
-    s = np.linalg.svd(M, compute_uv=False)
+    ctx = family.context(alg, tol)
+    M, U, s, Vh = ctx.weak_system
     smax = float(s.max(initial=0.0))
     smin = float(s.min()) if s.size else 0.0
     if M.shape[0] < alg.dim or smin <= tol.rank * max(smax, 1e-300):
         _, _, Vh = np.linalg.svd(M)
         raise AmbiguousProduct(Vh.conj().T[:, -1])
 
-    c, *_ = np.linalg.lstsq(M, r, rcond=None)
+    # right-hand side (member, j, k): phi(b.x_j, a*.x_k) / |phi|
+    R0 = _right_mults(alg, tol)
+    AS = R0 @ a.star().coeffs
+    BX = R0 @ b.coeffs
+    labels, units = ctx.nonzero
+    r = (AS.conj() @ units @ BX.T).transpose(0, 2, 1).reshape(-1)
+    c = Vh.conj().T @ ((U.conj().T @ r) / s)
     resid = float(np.linalg.norm(M @ c - r))
     rnorm = float(np.linalg.norm(r))
     if resid > tol.weak * max(rnorm, 1e-300):
         raise NotWellDefined(resid, rnorm)
     report = WeakProductReport(
         residual=resid, rhs_norm=rnorm, sigma_min=smin, sigma_max=smax,
-        n_rows=M.shape[0], forms_used=labels)
+        n_rows=M.shape[0], forms_used=list(labels))
     return alg.element(c), report
 
 
@@ -375,34 +339,30 @@ def check_condition_product(family: FormFamily, alg: QuasiAlgebraInstance,
     be expressible as the representation of some algebra element, jointly
     across the dense generators.  Reports the failing pairs, if any.
     """
-    reps = [build_gns(phi, alg, tol) for phi in family.dense_forms(alg, tol)]
+    ctx = family.context(alg, tol)
     if probes is None:
         probes = [alg.basis_element(i) for i in range(alg.dim)]
-
-    cols = []
-    for i in range(alg.dim):
-        e = alg.basis_element(i)
-        cols.append(np.concatenate([rep.rep_matrix(e).reshape(-1) for rep in reps]))
-    M = np.column_stack(cols)
+    coeffs = np.reshape([p.coeffs for p in probes], (len(probes), alg.dim))
+    M = np.vstack(ctx.rep_blocks)
 
     pairs = [(i, j) for i in range(len(probes)) for j in range(len(probes))]
     if len(pairs) > max_pairs:
         stride = max(1, len(pairs) // max_pairs)
         pairs = pairs[::stride][:max_pairs]
+    left, right = [i for i, _ in pairs], [j for _, j in pairs]
 
-    failures = []
-    worst = 0.0
-    for i, j in pairs:
-        Pa = [rep.rep_matrix(probes[i]) for rep in reps]
-        Pb = [rep.rep_matrix(probes[j]) for rep in reps]
-        target = np.concatenate([(x @ y).reshape(-1) for x, y in zip(Pa, Pb)])
-        c, *_ = np.linalg.lstsq(M, target, rcond=None)
-        resid = float(np.linalg.norm(M @ c - target))
-        scale = max(float(np.linalg.norm(target)), 1.0)
-        rel = resid / scale
-        worst = max(worst, rel)
-        if rel > tol.weak:
-            failures.append({"left": i, "right": j, "relative_residual": rel})
+    # one column per pair: the products pi(p_i) pi(p_j) across the representations
+    targets = []
+    for rep in ctx.reps:
+        P = np.tensordot(coeffs, np.stack(rep.rep_mats), axes=1)
+        targets.append((P[left] @ P[right]).reshape(len(pairs), rep.dim_H ** 2))
+    target = np.hstack(targets).T
+    C, *_ = np.linalg.lstsq(M, target, rcond=None)
+    rel = (np.linalg.norm(M @ C - target, axis=0)
+           / np.maximum(np.linalg.norm(target, axis=0), 1.0))
+    worst = float(rel.max(initial=0.0))
+    failures = [{"left": i, "right": j, "relative_residual": float(v)}
+                for (i, j), v in zip(pairs, rel) if v > tol.weak]
     return {
         "holds": not failures,
         "n_pairs": len(pairs),
@@ -455,21 +415,12 @@ def radical(family: FormFamily, alg: QuasiAlgebraInstance,
     with the degeneracy space only under the balanced closure policy, so
     its agreement check is asserted only then.
     """
-    forms = family.forms(alg, tol)
-    grams = []
-    for phi in forms:
-        G = phi.gram(alg)
-        gn = float(np.linalg.norm(G, 2))
-        if gn > 0:
-            grams.append(G / gn)
-    T = np.sum(grams, axis=0)
-    w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
-    wmax = float(np.abs(w).max(initial=0.0))
-    mask = w <= tol.rank * max(wmax, 1e-300)
+    ctx = family.context(alg, tol)
+    _, V, mask = ctx.gram_sum
     N1 = V[:, mask]
 
     # PSD kernels intersect exactly where the stacked square roots vanish
-    N2 = _null_basis(np.vstack(grams), np.sqrt(tol.rank))
+    N2 = _null_basis(ctx.nonzero[1].reshape(-1, alg.dim), np.sqrt(tol.rank))
 
     report = RadicalReport(dim=int(N1.shape[1]),
                            basis_coeffs=[N1[:, k] for k in range(N1.shape[1])])
@@ -477,16 +428,9 @@ def radical(family: FormFamily, alg: QuasiAlgebraInstance,
     report.checks.append(CheckResult(
         "gram-sum-vs-stacked", same12, {"gap": gap12}))
 
-    try:
-        dense = family.dense_forms(alg, tol)
-    except NotIps:
-        dense = ()
-    if dense:
+    if ctx.dense_seeds:
         blocks = []
-        for phi in dense:
-            rep = build_gns(phi, alg, tol)
-            cols = [P.reshape(-1) for P in rep.rep_mats]
-            B = np.column_stack(cols)
+        for B in ctx.rep_blocks:
             bn = float(np.linalg.norm(B, 2))
             if bn > 0:
                 blocks.append(B / bn)

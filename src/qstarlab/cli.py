@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,15 +31,6 @@ from .report import dumps
 from .tolerances import DEFAULT_TOL
 from .topology import (BoundedFormSet, compare_topologies, gamma, left_mult_bound,
                        p_lower, p_star, p_upper, ga_star_check)
-
-
-def _threads() -> int:
-    """Requested worker count; parsed and echoed, computation stays serial."""
-    raw = os.environ.get("QSTAR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_source(source: str):
@@ -116,12 +106,15 @@ def _tol(args):
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
 
 
-def _apply_depth(families: dict, args) -> None:
+def _at_depth(fam: FormFamily, args) -> FormFamily:
+    """The family, rebuilt at the ``--twist-depth`` override if one is given."""
     depth = getattr(args, "twist_depth", None)
-    if depth is not None:
-        for fam in families.values():
-            fam.twist_depth = depth
-            fam._memo.clear()
+    return fam if depth is None else FormFamily(fam.seeds, fam.balanced, depth, fam.label)
+
+
+def _load_family(args):
+    inst, families, _ = _load_source(args.source)
+    return inst, _at_depth(_pick_family(families, args.family, args.source), args)
 
 
 def _csv_floats(text: str, what: str):
@@ -155,9 +148,7 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_forms(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     report = validate_family(fam, inst, tol)
     suff = fam.sufficiency(inst, tol)
     return {"command": "forms", "source": args.source, "family": fam.label,
@@ -165,9 +156,7 @@ def _cmd_forms(args, tol):
 
 
 def _cmd_gns(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     out = []
     for phi in fam.seeds:
         if not is_dense(phi, inst, tol):
@@ -185,9 +174,7 @@ def _cmd_gns(args, tol):
 
 
 def _cmd_cone(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     a = _parse_element(inst, args.element)
     report = cone_membership(a, fam, inst, tol)
     payload = {"command": "cone", "source": args.source, "family": fam.label,
@@ -201,9 +188,7 @@ def _cmd_cone(args, tol):
 
 
 def _cmd_norm(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     a = _parse_element(inst, args.element)
     report = m_bounded_norm(a, fam, inst, tol)
     return {"command": "norm", "source": args.source, "family": fam.label,
@@ -211,9 +196,7 @@ def _cmd_norm(args, tol):
 
 
 def _cmd_weakprod(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     a = _parse_element(inst, args.left)
     b = _parse_element(inst, args.right)
     c, rep = weak_product(a, b, fam, inst, tol)
@@ -224,18 +207,14 @@ def _cmd_weakprod(args, tol):
 
 
 def _cmd_radical(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     report = radical(fam, inst, tol)
     return {"command": "radical", "source": args.source, "family": fam.label,
             "report": report.as_dict()}
 
 
 def _cmd_topology(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     F = BoundedFormSet.from_family(fam, inst, tol)
     a = _parse_element(inst, args.element) if args.element else inst.unit
     probes = standard_probes(inst, count=args.probes, seed=args.seed)
@@ -254,9 +233,7 @@ def _cmd_topology(args, tol):
 
 
 def _cmd_gastar(args, tol):
-    inst, families, _ = _load_source(args.source)
-    _apply_depth(families, args)
-    fam = _pick_family(families, args.family, args.source)
+    inst, fam = _load_family(args)
     report = ga_star_check(fam, inst, tol)
     return {"command": "gastar", "source": args.source, "family": fam.label,
             "report": report.as_dict()}
@@ -271,7 +248,7 @@ def _cmd_lp(args, tol):
         values = [float(i + 1) for i in range(k)]
     if len(masses) != k or len(values) != k:
         raise ParseError("lp", f"masses and values must have {k} entries")
-    hs = holder_sup(values, args.exponent, masses, tol)
+    hs = holder_sup(values, args.exponent, masses)
     oracle = weight_ascent_oracle(values, args.exponent, masses, seed=args.seed)
     norm = lp_bounded_norm(values, args.exponent, masses, tol)
     return {
@@ -293,12 +270,11 @@ def _cmd_lp(args, tol):
 
 def _cmd_all(args, tol):
     inst, families, desc = _load_source(args.source)
-    _apply_depth(families, args)
     payload = {"command": "all", "source": args.source, "description": desc,
                "structure": validate_structure(inst, tol).as_dict(),
                "families": {}}
     for name in sorted(families):
-        fam = families[name]
+        fam = _at_depth(families[name], args)
         entry = {"validation": validate_family(fam, inst, tol).as_dict(),
                  "sufficiency": fam.sufficiency(inst, tol).as_dict(),
                  "radical_dim": radical(fam, inst, tol).dim}
@@ -435,7 +411,6 @@ def main(argv=None) -> int:
         else:
             print("\n".join(_render_text(failure)))
         return 3
-    payload["threads"] = _threads()
     if args.format == "json":
         print(dumps(payload))
     else:

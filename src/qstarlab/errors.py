@@ -95,10 +95,6 @@ class AmbiguousProduct(QStarError):
         super().__init__("weak product underdetermined: family does not separate points")
 
 
-class UnitRequired(QStarError):
-    """The operation needs the unit and the instance does not provide one."""
-
-
 class BadExponent(QStarError):
     """Exponent outside the supported range p >= 2."""
 

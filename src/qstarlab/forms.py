@@ -14,11 +14,16 @@ reach every direction of the quotient space, measured by comparing Gram
 ranks.  Twisting by a subalgebra element x sends phi to
 phi^x(a, b) = phi(a.x, b.x); a family is balanced when it is closed under
 basis twists.
+
+Forms and families are immutable.  A family keeps one ``FamilyContext``
+for the instance and tolerances it was last queried with, and rebuilds it
+when either changes; nothing needs clearing by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +52,6 @@ class IpsForm:
         mat.setflags(write=False)
         self.payload = mat
         self.label = label or kind
-        self._memo = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -66,25 +70,17 @@ class IpsForm:
 
     def gram(self, alg: QuasiAlgebraInstance):
         """The d x d matrix G with phi(a, b) = b^H G a over the basis."""
-        key = ("gram", id(alg))
-        if key not in self._memo:
-            if self.kind == GRAM:
-                G = self._gram_payload(alg)
-            else:
-                S = self.payload
-                w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
-                root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-                P = np.column_stack([(m @ root).reshape(-1) for m in alg.basis])
-                G = P.conj().T @ P
-            G = (G + G.conj().T) / 2.0
-            G.setflags(write=False)
-            self._memo[key] = (alg, G)
-        return self._memo[key][1]
-
-    def a0_gram(self, alg: QuasiAlgebraInstance):
-        G = self.gram(alg)
-        ix = np.asarray(alg.a0_indices)
-        return G[np.ix_(ix, ix)]
+        if self.kind == GRAM:
+            G = self._gram_payload(alg)
+        else:
+            S = self.payload
+            w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
+            root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+            P = np.column_stack([(m @ root).reshape(-1) for m in alg.basis])
+            G = P.conj().T @ P
+        G = (G + G.conj().T) / 2.0
+        G.setflags(write=False)
+        return G
 
     # -- serialization ------------------------------------------------------
 
@@ -113,11 +109,6 @@ class IpsForm:
         return f"IpsForm({self.kind}, dim={self.payload.shape[0]}, label={self.label!r})"
 
 
-def form_eval(phi: IpsForm, a: Element, b: Element) -> complex:
-    """phi(a, b)."""
-    return phi.eval(a, b)
-
-
 def form_equal(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
                tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Extensional equality: the two Gram matrices agree within tolerance."""
@@ -135,22 +126,23 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
     np_, nq = float(np.linalg.norm(Gp, 2)), float(np.linalg.norm(Gq, 2))
     if np_ == 0.0 or nq == 0.0:
         return np_ == nq
-    return float(np.linalg.norm(Gp / np_ - Gq / nq, 2)) <= tol.form
+    return _has_direction([Gq / nq], Gp / np_, tol)
 
 
-def _a0_right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
-    """Right-multiplication coefficient matrices for every A0 basis element."""
-    key = ("a0-right-mults",)
-    if key not in alg._memo:
-        mats = []
-        for j in alg.a0_indices:
-            R, res = alg.right_mult_matrix(alg.basis[j])
-            scale = max(float(np.linalg.norm(alg.basis[j])), 1e-300)
-            if res > tol.structure * scale * 100:
-                raise ClosureViolation("right module action", res / scale, indices=j)
-            mats.append(R)
-        alg._memo[key] = tuple(mats)
-    return alg._memo[key]
+def _has_direction(units, U, tol: ToleranceConfig) -> bool:
+    """Whether the unit-norm Gram matrix U is one of ``units`` within tol.form."""
+    return any(float(np.linalg.norm(U - K, 2)) <= tol.form for K in units)
+
+
+def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """The instance's stacked A0 right-multiplication matrices, provided
+    every one of them stays inside the span at this tolerance."""
+    R0, rel = alg.right_mult_table
+    bad = np.flatnonzero(rel > tol.structure * 100)
+    if bad.size:
+        j = int(bad[0])
+        raise ClosureViolation("right module action", rel[j], indices=alg.a0_indices[j])
+    return R0
 
 
 def twist(phi: IpsForm, x: Element, tol: ToleranceConfig = DEFAULT_TOL) -> IpsForm:
@@ -213,6 +205,46 @@ def _rank(psd_mat, rank_tol):
     return int(np.sum(w > rank_tol * wmax))
 
 
+def _ranks(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """Numerical ranks of a Gram matrix and of its subalgebra block."""
+    ix = np.asarray(alg.a0_indices)
+    return _rank(G, tol.rank), _rank(G[np.ix_(ix, ix)], tol.rank)
+
+
+@dataclass(frozen=True)
+class QuotientSection:
+    """The kept eigenpairs (w, V) of a positive matrix M, the section
+    V diag(w)^(-1/2), the dropped directions, and the top |eigenvalue|."""
+
+    w: np.ndarray
+    V: np.ndarray
+    section: np.ndarray
+    null_dirs: np.ndarray
+    wmax: float
+
+    def leak(self, T) -> float:
+        """Largest |eigenvalue| of the Hermitian T on the dropped directions."""
+        if not self.null_dirs.shape[1]:
+            return 0.0
+        L = self.null_dirs.conj().T @ T @ self.null_dirs
+        return float(np.abs(np.linalg.eigvalsh((L + L.conj().T) / 2.0)).max(initial=0.0))
+
+    def gain(self, T) -> float:
+        """Largest sqrt(z^H T z / z^H M z) over the essential range of M."""
+        B = self.section.conj().T @ T @ self.section
+        top = float(np.linalg.eigvalsh((B + B.conj().T) / 2.0).max(initial=0.0))
+        return float(np.sqrt(max(top, 0.0)))
+
+
+def quotient_section(M, rank_tol: float) -> QuotientSection:
+    """Split a positive matrix into its essential range and null directions."""
+    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    wmax = float(np.abs(w).max(initial=0.0))
+    keep = w > rank_tol * max(wmax, 1e-300)
+    return QuotientSection(w[keep], V[:, keep], V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep])),
+                           V[:, ~keep], wmax)
+
+
 def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
                         tol: ToleranceConfig = DEFAULT_TOL):
     """Max residual of phi(a.x, y) - phi(x, a^H.y) over all basis triples.
@@ -221,18 +253,13 @@ def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
     form and is what lets representation matrices act on the quotient.
     """
     G = phi.gram(alg)
-    R0 = _a0_right_mults(alg, tol)
+    R0 = _right_mults(alg, tol)
     Sstar, _ = alg.star_matrix()
-    n0 = alg.a0_dim
-    worst = 0.0
-    for j in range(n0):
-        for k in range(n0):
-            # phi(a_i x_j, x_k) over all i, as a vector indexed by i
-            lhs = G[alg.a0_indices[k], :] @ R0[j]
-
-            # phi(x_j, a_i^H x_k) over all i
-            rhs = Sstar.conj().T @ (R0[k].conj().T @ G[:, alg.a0_indices[j]])
-            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+    ix = np.asarray(alg.a0_indices)
+    # lhs[j, k, i] = phi(a_i x_j, x_k) and rhs[j, k, i] = phi(x_j, a_i^H x_k)
+    lhs = G[ix, :] @ R0
+    rhs = (Sstar.conj().T @ (R0.conj().transpose(0, 2, 1) @ G[:, ix])).transpose(2, 0, 1)
+    worst = float(np.abs(lhs - rhs).max(initial=0.0))
     bnorm = max(float(np.linalg.norm(b)) for b in alg.basis)
     scale = (1.0 + float(np.linalg.norm(G, 2))) * (1.0 + bnorm) ** 2
     return worst, scale
@@ -262,9 +289,7 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
         "module-invariance", inv_res <= tol.form * inv_scale,
         {"residual": inv_res, "scale": inv_scale}))
 
-    G = phi.gram(alg)
-    report.rank_full = _rank(G, tol.rank)
-    report.rank_sub = _rank(phi.a0_gram(alg), tol.rank)
+    report.rank_full, report.rank_sub = _ranks(phi.gram(alg), alg, tol)
     dense = report.rank_sub == report.rank_full
     if require_density:
         report.checks.append(CheckResult(
@@ -280,7 +305,12 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
 
 def is_dense(phi: IpsForm, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether the subalgebra reaches the whole quotient space of phi."""
-    return _rank(phi.a0_gram(alg), tol.rank) == _rank(phi.gram(alg), tol.rank)
+    return _dense(phi.gram(alg), alg, tol)
+
+
+def _dense(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig) -> bool:
+    full, sub = _ranks(G, alg, tol)
+    return full == sub
 
 
 class FormFamily:
@@ -290,71 +320,44 @@ class FormFamily:
     effective family is the closure of the seeds under twisting by
     subalgebra basis elements up to ``twist_depth`` (duplicates and the
     zero form are dropped).  When not balanced the family is the seeds
-    exactly.
+    exactly.  A family is immutable: to change its depth, build a new one.
     """
+
+    __slots__ = ("seeds", "balanced", "twist_depth", "label", "_ctx")
 
     def __init__(self, generators, balanced: bool = False, twist_depth: int = 1, label: str = ""):
         self.seeds = tuple(generators)
         self.balanced = bool(balanced)
         self.twist_depth = int(twist_depth)
         self.label = label or "family"
-        self._memo = {}
+        self._ctx = None
+
+    def __setattr__(self, name, value):
+        if name != "_ctx" and hasattr(self, name):
+            raise AttributeError(f"FormFamily is immutable; build a new family to change {name!r}")
+        object.__setattr__(self, name, value)
+
+    def context(self, alg: QuasiAlgebraInstance,
+                tol: ToleranceConfig = DEFAULT_TOL) -> "FamilyContext":
+        """The family's derived data on ``alg`` at ``tol``, built on first use."""
+        ctx = self._ctx
+        if ctx is None or ctx.alg is not alg or ctx.tol != tol:
+            ctx = self._ctx = FamilyContext(self, alg, tol)
+        return ctx
 
     def forms(self, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL):
         """The effective form list under the closure policy."""
-        if not self.balanced:
-            return self.seeds
-        key = ("closure", id(alg), tol)
-        if key not in self._memo:
-            self._memo[key] = (alg, tuple(self._closure(alg, tol)))
-        return self._memo[key][1]
-
-    def _closure(self, alg, tol):
-        out = []
-        norms = []
-
-        def push(form):
-            G = form.gram(alg)
-            gn = float(np.linalg.norm(G, 2))
-            top = max(norms, default=0.0)
-            if gn <= 1e-14 * max(top, 1.0):
-                return
-            for known in out:
-                if form_proportional(form, known, alg, tol):
-                    return
-            out.append(form)
-            norms.append(gn)
-
-        for s in self.seeds:
-            push(s)
-        frontier = list(self.seeds)
-        for _ in range(self.twist_depth):
-            new = []
-            for phi in frontier:
-                for j in range(alg.a0_dim):
-                    x = alg.a0_basis_element(j)
-                    tw = twist(phi, x, tol)
-                    before = len(out)
-                    push(tw)
-                    if len(out) > before:
-                        new.append(tw)
-            frontier = new
-            if not frontier:
-                break
-        return out
+        return self.context(alg, tol).closure[0]
 
     def dense_forms(self, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL):
         """Seeds whose quotient admits a representation (density holds)."""
-        ok = [phi for phi in self.seeds if is_dense(phi, alg, tol)]
-        if not ok:
-            raise NotIps("no family generator satisfies the density requirement")
-        return tuple(ok)
+        return self.context(alg, tol).dense_forms()
 
     def sufficiency(self, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL):
-        key = ("sufficiency", id(alg), tol)
-        if key not in self._memo:
-            self._memo[key] = (alg, check_sufficiency(self, alg, tol))
-        return self._memo[key][1]
+        ctx = self.context(alg, tol)
+        if ctx.sufficiency is None:
+            ctx.sufficiency = check_sufficiency(self, alg, tol)
+        return ctx.sufficiency
 
     @classmethod
     def from_json(cls, payload, source="<family>"):
@@ -363,10 +366,12 @@ class FormFamily:
         gens_raw = payload["generators"]
         if not isinstance(gens_raw, list) or not gens_raw:
             raise ParseError(source, "generators must be a non-empty list", field="generators")
-        gens = [IpsForm.from_json(g, source) for g in gens_raw]
-        for i, g in enumerate(gens):
-            if not g.label or g.label == g.kind:
-                g.label = f"phi{i}"
+        gens = []
+        for i, g in enumerate(gens_raw):
+            phi = IpsForm.from_json(g, source)
+            if phi.label == phi.kind:
+                phi = IpsForm(phi.kind, phi.payload, label=f"phi{i}")
+            gens.append(phi)
         return cls(
             gens,
             balanced=bool(payload.get("balanced", False)),
@@ -385,6 +390,112 @@ class FormFamily:
     def __repr__(self):
         return (f"FormFamily({len(self.seeds)} seed(s), balanced={self.balanced}, "
                 f"label={self.label!r})")
+
+
+class FamilyContext:
+    """What one family induces on one instance at one set of tolerances,
+    each entry computed on first use.  It holds the seeds but not the
+    family that owns it, so no reference cycle forms."""
+
+    def __init__(self, family: FormFamily, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+        self.alg = alg
+        self.tol = tol
+        self.seeds = family.seeds
+        self.balanced = family.balanced
+        self.depth = family.twist_depth
+        self.sufficiency = None
+
+    @cached_property
+    def seed_grams(self):
+        return tuple(phi.gram(self.alg) for phi in self.seeds)
+
+    @cached_property
+    def closure(self):
+        """(members, Gram matrices, spectral norms) of the effective family."""
+        if not self.balanced:
+            return self.seeds, self.seed_grams, tuple(
+                float(np.linalg.norm(G, 2)) for G in self.seed_grams)
+        alg, tol = self.alg, self.tol
+        members, grams, norms, units = [], [], [], []
+
+        def push(form, G):
+            gn = float(np.linalg.norm(G, 2))
+            if gn <= 1e-14 * max(max(norms, default=0.0), 1.0) or \
+                    _has_direction(units, G / gn, tol):
+                return False
+            members.append(form)
+            grams.append(G)
+            norms.append(gn)
+            units.append(G / gn)
+            return True
+
+        for phi, G in zip(self.seeds, self.seed_grams):
+            push(phi, G)
+        frontier = self.seeds
+        for _ in range(self.depth):
+            new = []
+            for phi in frontier:
+                for j in range(alg.a0_dim):
+                    tw = twist(phi, alg.a0_basis_element(j), tol)
+                    if push(tw, tw.gram(alg)):
+                        new.append(tw)
+            frontier = new
+        return tuple(members), tuple(grams), tuple(norms)
+
+    @cached_property
+    def nonzero(self):
+        """Labels and stacked normalized Gram matrices of the nonzero members."""
+        members, grams, norms = self.closure
+        keep = [i for i, gn in enumerate(norms) if gn > 0]
+        d = self.alg.dim
+        return ([members[i].label for i in keep],
+                np.reshape([grams[i] / norms[i] for i in keep], (-1, d, d)))
+
+    @cached_property
+    def gram_sum(self):
+        """Eigenpairs of the summed normalized Grams, and its null mask."""
+        T = self.nonzero[1].sum(axis=0)
+        w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
+        wmax = float(np.abs(w).max(initial=0.0))
+        return w, V, w <= self.tol.rank * max(wmax, 1e-300)
+
+    @cached_property
+    def sections(self):
+        """Per seed, the quotient section of its subalgebra Gram block."""
+        ix = np.asarray(self.alg.a0_indices)
+        return tuple(quotient_section(G[np.ix_(ix, ix)], self.tol.rank)
+                     for G in self.seed_grams)
+
+    @cached_property
+    def dense_seeds(self):
+        return tuple(phi for phi, G in zip(self.seeds, self.seed_grams)
+                     if _dense(G, self.alg, self.tol))
+
+    def dense_forms(self):
+        if not self.dense_seeds:
+            raise NotIps("no family generator satisfies the density requirement")
+        return self.dense_seeds
+
+    @cached_property
+    def reps(self):
+        """Representations of the dense seeds, in seed order."""
+        from .gns import build_gns
+        return tuple(build_gns(phi, self.alg, self.tol) for phi in self.dense_forms())
+
+    @cached_property
+    def rep_blocks(self):
+        """Per representation, the columns vec(pi(a_i)) over the basis."""
+        return tuple(np.stack(rep.rep_mats).reshape(self.alg.dim, -1).T for rep in self.reps)
+
+    @cached_property
+    def weak_system(self):
+        """``(M, U, s, Vh)``: row (member, j, k) of M holds phi(a_i.x_j, x_k)
+        / |phi| over i for the nonzero members, with M's thin SVD."""
+        units = self.nonzero[1]
+        R0 = _right_mults(self.alg, self.tol)
+        ix = np.asarray(self.alg.a0_indices)
+        M = (units[:, None, ix, :] @ R0[None]).reshape(-1, self.alg.dim)
+        return (M, *np.linalg.svd(M, full_matrices=False))
 
 
 @dataclass
@@ -431,16 +542,17 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     for phi in family.seeds:
         report.seed_reports.append(validate_ips_form(phi, alg, tol, require_density=False))
 
-    members = family.forms(alg, tol)
+    ctx = family.context(alg, tol)
+    members, grams, norms = ctx.closure
     report.closure_size = len(members)
 
     worst_pos = 0.0
     worst_inv = 0.0
     seed_ids = {id(s) for s in family.seeds}
-    for phi in members:
+    for phi, G in zip(members, grams):
         if id(phi) in seed_ids:
             continue
-        herm_res, wmin, wmax = _psd_margins(phi.gram(alg), tol)
+        herm_res, wmin, wmax = _psd_margins(G, tol)
         worst_pos = max(worst_pos, herm_res, -wmin / max(wmax, 1e-300))
         inv_res, inv_scale = invariance_residual(phi, alg, tol)
         worst_inv = max(worst_inv, inv_res / inv_scale)
@@ -452,14 +564,15 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if family.balanced:
         stable = True
         worst = ""
-        top = max((float(np.linalg.norm(phi.gram(alg), 2)) for phi in members), default=0.0)
+        top = max(norms, default=0.0)
+        units = ctx.nonzero[1]
         for phi in members:
             for j in range(alg.a0_dim):
-                tw = twist(phi, alg.a0_basis_element(j), tol)
-                gn = float(np.linalg.norm(tw.gram(alg), 2))
+                Gt = twist(phi, alg.a0_basis_element(j), tol).gram(alg)
+                gn = float(np.linalg.norm(Gt, 2))
                 if gn <= 1e-12 * max(top, 1.0):
                     continue
-                if not any(form_proportional(tw, known, alg, tol) for known in members):
+                if not _has_direction(units, Gt / gn, tol):
                     stable = False
                     worst = f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
         report.checks.append(CheckResult(
@@ -513,15 +626,12 @@ def degeneracy_residuals(a: Element, family: FormFamily, alg: QuasiAlgebraInstan
     first three agree for any family; the fourth joins only under the
     balanced closure policy with a unit.
     """
-    forms = family.forms(alg, tol)
-    R0 = _a0_right_mults(alg, tol)
+    members, grams, norms = family.context(alg, tol).closure
+    R0 = _right_mults(alg, tol)
     ix = np.asarray(alg.a0_indices)
+    AX = (R0 @ a.coeffs).T
     r1 = r2 = r3 = r4 = 0.0
-    gmax = 0.0
-    for phi in forms:
-        G = phi.gram(alg)
-        gmax = max(gmax, float(np.linalg.norm(G, 2)))
-        AX = np.column_stack([R0[k] @ a.coeffs for k in range(alg.a0_dim)])
+    for phi, G in zip(members, grams):
         Q = (G @ AX)[ix, :]
         H = (Q + Q.conj().T) / 2.0
         K = (Q - Q.conj().T) / 2.0
@@ -530,7 +640,7 @@ def degeneracy_residuals(a: Element, family: FormFamily, alg: QuasiAlgebraInstan
         diag = np.einsum("ji,jk,ki->i", AX.conj(), G, AX).real
         r3 = max(r3, float(diag.max(initial=0.0)))
         r4 = max(r4, float(phi.eval(a, a).real))
-    scale = (1.0 + gmax) * (1.0 + a.norm_frobenius()) ** 2
+    scale = (1.0 + max(norms, default=0.0)) * (1.0 + a.norm_frobenius()) ** 2
     return {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "scale": scale}
 
 
@@ -546,19 +656,13 @@ def check_sufficiency(family: FormFamily, alg: QuasiAlgebraInstance,
     """
     if not family.seeds:
         raise EmptyFamily("family has no generators")
-    forms = family.forms(alg, tol)
+    ctx = family.context(alg, tol)
+    forms = ctx.closure[0]
     quantifier = ("closure of the generators under basis twists"
                   if family.balanced else "stored generators, no twisting")
 
-    T = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for phi in forms:
-        G = phi.gram(alg)
-        gn = float(np.linalg.norm(G, 2))
-        if gn > 0:
-            T += G / gn
-    w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
+    w, V, null_mask = ctx.gram_sum
     wmax = float(np.abs(w).max(initial=0.0))
-    null_mask = w <= tol.rank * max(wmax, 1e-300)
     dim_null = int(np.sum(null_mask))
     sufficient = dim_null == 0
     margin = (float(w.min()) if w.size else 0.0) / max(wmax, 1e-300)

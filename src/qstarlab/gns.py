@@ -6,6 +6,9 @@ null directions, and use coordinates z = W^(1/2) V^H c so the standard
 inner product reproduces phi.  Every algebra element then acts on those
 coordinates, the unit maps to a cyclic vector, and pairing the action
 against the cyclic vector recovers the form exactly.
+
+``build_gns`` computes afresh on every call; a family keeps the
+representations of its dense seeds in its ``FamilyContext``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .algebra import Element, QuasiAlgebraInstance
 from .errors import NotIps, ZeroForm
-from .forms import GRAM, IpsForm, _a0_right_mults, is_dense
+from .forms import GRAM, IpsForm, _dense, _right_mults, quotient_section
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -83,74 +86,40 @@ class GnsRep:
 
 def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
               tol: ToleranceConfig = DEFAULT_TOL) -> GnsRep:
-    """Construct the representation of a dense form.  Cached per instance."""
-    key = ("gns", id(alg), tol)
-    if key in phi._memo:
-        return phi._memo[key][1]
-
+    """Construct the representation of a dense form."""
     G = phi.gram(alg)
     gnorm = float(np.linalg.norm(G, 2))
     if gnorm <= 1e-300:
         raise ZeroForm("cannot represent the zero form")
-    if not is_dense(phi, alg, tol):
+    if not _dense(G, alg, tol):
         raise NotIps(f"form {phi.label!r}: subalgebra is not dense in the quotient")
 
-    G0 = phi.a0_gram(alg)
-    w, V = np.linalg.eigh((G0 + G0.conj().T) / 2.0)
-    wmax = float(np.abs(w).max(initial=0.0))
-    keep = w > tol.rank * max(wmax, 1e-300)
-    wk = w[keep]
-    Vk = V[:, keep]
-    r = int(wk.size)
-    if r == 0:
-        raise ZeroForm("form vanishes on the subalgebra")
-
-    lam = np.diag(np.sqrt(wk)) @ Vk.conj().T          # r x n0
-    section = Vk @ np.diag(1.0 / np.sqrt(wk))         # n0 x r, lam @ section = I
-
     ix = np.asarray(alg.a0_indices)
-    lam_pinv = np.linalg.pinv(lam)
+    sec = quotient_section(G[np.ix_(ix, ix)], tol.rank)
+    if not sec.w.size:
+        raise ZeroForm("form vanishes on the subalgebra")
+    lam = np.diag(np.sqrt(sec.w)) @ sec.V.conj().T     # r x n0, lam @ section = I
 
-    # coordinates of the class of a_i x_k for every basis element a_i
-    R0 = _a0_right_mults(alg, tol)
-    res_lambda = 0.0
-    res_rep = 0.0
-    rep_mats = []
-    sqrt_inv = np.diag(1.0 / np.sqrt(wk)) @ Vk.conj().T   # g -> coordinates
-    for i in range(alg.dim):
-        cols = np.empty((r, alg.a0_dim), dtype=complex)
-        for k in range(alg.a0_dim):
-            g = (G @ R0[k][:, i])[ix]
-            t = sqrt_inv @ g
-            cols[:, k] = t
-            res_lambda = max(res_lambda, float(np.linalg.norm(lam.conj().T @ t - g)))
-        P = cols @ lam_pinv
-        rep_mats.append(P)
-        res_rep = max(res_rep, float(np.linalg.norm(P @ lam - cols)))
+    # GR[k][:, i] pairs a_i x_k against the subalgebra basis; coords[k][:, i]
+    # are the coordinates of its class, and cols[i][:, k] regroups them
+    R0 = _right_mults(alg, tol)
+    GR = G[ix, :] @ R0
+    coords = sec.section.conj().T @ GR
+    res_lambda = float(np.linalg.norm(lam.conj().T @ coords - GR, axis=1).max(initial=0.0))
+    cols = coords.transpose(2, 1, 0)
+    rep_mats = cols @ np.linalg.pinv(lam)
+    res_rep = float(np.linalg.norm(rep_mats @ lam - cols, axis=(1, 2)).max(initial=0.0))
 
     unit0, ures = alg.a0_coeffs_of(alg.unit.matrix)
     if ures > tol.membership * max(1.0, float(np.linalg.norm(alg.unit.matrix))):
         raise NotIps("unit element is not expressible inside the subalgebra")
-    cyclic = lam @ unit0
 
     scale = max(gnorm, 1.0)
-    rep = GnsRep(
-        alg=alg, form=phi, dim_H=r, lam=lam, section=section,
-        rep_mats=tuple(rep_mats), cyclic=cyclic,
+    return GnsRep(
+        alg=alg, form=phi, dim_H=int(sec.w.size), lam=lam, section=sec.section,
+        rep_mats=tuple(rep_mats), cyclic=lam @ unit0,
         residual_lambda=res_lambda / scale, residual_rep=res_rep / scale,
     )
-    phi._memo[key] = (alg, rep)
-    return rep
-
-
-def rep_matrix(phi: IpsForm, alg: QuasiAlgebraInstance, a: Element,
-               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    return build_gns(phi, alg, tol).rep_matrix(a)
-
-
-def rep_norm(phi: IpsForm, alg: QuasiAlgebraInstance, a: Element,
-             tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    return build_gns(phi, alg, tol).rep_norm(a)
 
 
 def reconstruction_defect(phi: IpsForm, alg: QuasiAlgebraInstance,

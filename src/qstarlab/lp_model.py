@@ -119,7 +119,7 @@ class DiscreteLpAlgebra:
         return float(np.sum(v ** p * self.masses) ** (1.0 / p))
 
 
-def holder_sup(values, p: float, masses, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def holder_sup(values, p: float, masses) -> dict:
     """Closed-form supremum of phi_w(f, f) over the admissible weight ball.
 
     Returns the supremum (the squared p-norm), the seminorm (its square

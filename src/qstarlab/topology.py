@@ -26,8 +26,7 @@ import numpy as np
 from .algebra import Element, QuasiAlgebraInstance
 from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norm
 from .errors import EmptyFamily, NotIps, NotSufficient
-from .forms import FormFamily, IpsForm, twist
-from .gns import build_gns
+from .forms import FormFamily, quotient_section, twist
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -115,24 +114,14 @@ def left_mult_bound(F: BoundedFormSet, x: Element, alg: QuasiAlgebraInstance,
     worst = 0.0
     for phi in F.forms:
         G = phi.gram(alg)
+        sec = quotient_section(G, tol.rank)
+        if sec.wmax == 0.0:
+            continue
         L = R.conj().T @ G @ R
         L = (L + L.conj().T) / 2.0
-        w, V = np.linalg.eigh((G + G.conj().T) / 2.0)
-        wmax = float(np.abs(w).max(initial=0.0))
-        if wmax == 0.0:
-            continue
-        keep = w > tol.rank * wmax
-        null_dirs = V[:, ~keep]
-        if null_dirs.shape[1]:
-            leak_mat = null_dirs.conj().T @ L @ null_dirs
-            leak = float(np.abs(np.linalg.eigvalsh(
-                (leak_mat + leak_mat.conj().T) / 2.0)).max(initial=0.0))
-            if leak > tol.psd * wmax * max(1.0, float(np.linalg.norm(R, 2)) ** 2):
-                return float("inf")
-        section = V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep]))
-        B = section.conj().T @ L @ section
-        top = float(np.linalg.eigvalsh((B + B.conj().T) / 2.0).max(initial=0.0))
-        worst = max(worst, float(np.sqrt(max(top, 0.0))))
+        if sec.leak(L) > tol.psd * sec.wmax * max(1.0, float(np.linalg.norm(R, 2)) ** 2):
+            return float("inf")
+        worst = max(worst, sec.gain(L))
     return worst
 
 
@@ -272,8 +261,7 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
 
     worst_vec = 0.0
     rng = np.random.default_rng(0xA11CE)
-    for phi in family.dense_forms(alg, tol):
-        rep = build_gns(phi, alg, tol)
+    for phi, rep in zip(family.dense_forms(alg, tol), family.context(alg, tol).reps):
         c0 = rng.standard_normal(alg.a0_dim) + 1j * rng.standard_normal(alg.a0_dim)
         full = np.zeros(alg.dim, dtype=complex)
         for slot, cc in zip(alg.a0_indices, c0):

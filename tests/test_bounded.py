@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from corpus import make_corpus
 from qstarlab import (AmbiguousProduct, FamilyNotBalanced, NotSufficient,
-                      NotWellDefined, check_condition_product,
+                      NotWellDefined, build_gns, check_condition_product,
                       cone_intersection_null, cone_membership,
                       cone_witness_element, extract_bounded_algebra,
-                      form_eval, load_bundle, m_bounded_norm, radical,
+                      load_bundle, m_bounded_norm, radical,
                       weak_product)
 
 
@@ -107,7 +108,7 @@ def test_flip_matrix_witness(m2, good):
     # recompute the pairing the witness certifies, straight from the form
     phi = good.seeds[0]
     wx = m2.element_from_matrix(flip.matrix @ w.matrix)
-    val = form_eval(phi, wx, w)
+    val = phi.eval(wx, w)
     assert val.real == pytest.approx(rep.witness_value.real, abs=1e-9)
     assert abs(val.imag) < 1e-9
 
@@ -181,6 +182,48 @@ def test_condition_product_verdicts(m2, good):
     assert out2["n_failures"] >= 1
 
 
+def test_condition_product_matches_per_pair_reference():
+    # one lstsq per pair, as a reference for the single multi-column solve
+    m3 = load_bundle("m3_pattern")
+    inst, fam = m3["instance"], m3["families"]["good"]
+    reps = [build_gns(phi, inst) for phi in fam.dense_forms(inst)]
+    probes = [inst.basis_element(i) for i in range(inst.dim)]
+    M = np.column_stack([np.concatenate([r.rep_matrix(e).reshape(-1) for r in reps])
+                         for e in probes])
+    rel = []
+    for a in probes:
+        for b in probes:
+            t = np.concatenate([(r.rep_matrix(a) @ r.rep_matrix(b)).reshape(-1)
+                                for r in reps])
+            c = np.linalg.lstsq(M, t, rcond=None)[0]
+            rel.append(np.linalg.norm(M @ c - t) / max(np.linalg.norm(t), 1.0))
+    out = check_condition_product(fam, inst)
+    assert out["worst_relative_residual"] == pytest.approx(max(rel), rel=1e-9)
+    assert out["n_failures"] == sum(r > 1e-8 for r in rel)
+
+
+def test_weak_product_matches_row_by_row_reference():
+    # the system built one row at a time, as a reference for the batched build
+    rng = np.random.default_rng(5)
+    for inst, fam in make_corpus(count=4, seed=11):
+        a = inst.element(rng.normal(size=inst.dim) + 1j * rng.normal(size=inst.dim))
+        full = np.zeros(inst.dim, dtype=complex)
+        full[list(inst.a0_indices)] = rng.normal(size=inst.a0_dim)
+        b = inst.element(full)
+        R = [inst.right_mult_matrix(inst.basis[j])[0] for j in inst.a0_indices]
+        rows, rhs = [], []
+        for phi in fam.forms(inst):
+            G = phi.gram(inst)
+            gn = np.linalg.norm(G, 2)
+            for Rj in R:
+                for k, Rk in zip(inst.a0_indices, R):
+                    rows.append((G @ Rj)[k, :] / gn)
+                    rhs.append((Rk @ a.star().coeffs).conj() @ G @ (Rj @ b.coeffs) / gn)
+        ref = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
+        c, _ = weak_product(a, b, fam, inst)
+        assert np.allclose(c.coeffs, ref, rtol=0.0, atol=1e-10 * np.linalg.norm(ref))
+
+
 # -- radical ---------------------------------------------------------------
 
 def test_radical_dimensions(m2, good, bad):
@@ -201,7 +244,7 @@ def test_radical_vectors_are_null(m2, bad):
     phi = bad.seeds[0]
     for c in rep.basis_coeffs:
         v = m2.element(c)
-        assert abs(form_eval(phi, v, v)) < 1e-12
+        assert abs(phi.eval(v, v)) < 1e-12
 
 
 # -- normed algebra laws ---------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qstarlab import (EmptyFamily, FormFamily, IpsForm, NotInA0, NotIps,
-                      ParseError, check_sufficiency, form_equal,
+from qstarlab import (DEFAULT_TOL, ClosureViolation, EmptyFamily, FormFamily,
+                      IpsForm, NotInA0, NotIps, ParseError,
+                      QuasiAlgebraInstance, check_sufficiency, form_equal,
                       form_proportional, invariance_residual, is_dense,
                       load_bundle, twist, validate_family, validate_ips_form)
 
@@ -216,6 +217,53 @@ def test_family_json_default_labels():
     fam = FormFamily.from_json(
         {"generators": [{"kind": "gram", "G": G}, {"kind": "gram", "G": G}]})
     assert [f.label for f in fam.seeds] == ["phi0", "phi1"]
+
+
+def test_family_is_immutable(good):
+    with pytest.raises(AttributeError):
+        good.twist_depth = 0
+    assert good.twist_depth == 1
+
+
+def test_context_follows_instance_and_tolerance(m2, good):
+    ctx = good.context(m2)
+    assert good.context(m2) is ctx
+    loose = DEFAULT_TOL.override(form=1e-6)
+    assert good.context(m2, loose) is not ctx
+    other = load_bundle("m2_diag")["instance"]
+    assert good.context(other).alg is other
+
+
+def _e(n, i, j):
+    m = np.zeros((n, n))
+    m[i, j] = 1.0
+    return m
+
+
+def test_invariance_residual_matches_loop_reference(m2):
+    # a random positive Gram payload is not invariant, so the residual is O(1)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(m2.dim, m2.dim)) + 1j * rng.normal(size=(m2.dim, m2.dim))
+    phi = IpsForm("gram", X @ X.conj().T)
+    G = phi.gram(m2)
+    S, _ = m2.star_matrix()
+    R = {j: m2.right_mult_matrix(m2.basis[j])[0] for j in m2.a0_indices}
+    ref = max(np.abs(G[k, :] @ R[j] - S.conj().T @ (R[k].conj().T @ G[:, j])).max()
+              for j in m2.a0_indices for k in m2.a0_indices)
+    assert ref > 1e-3
+    assert invariance_residual(phi, m2)[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_right_mult_check_respects_each_callers_tolerance():
+    # right multiplication by the third subalgebra element leaves the span
+    # at relative size 1e-5: loose tolerances accept that, the default does not
+    basis = [np.eye(3), _e(3, 1, 1), _e(3, 2, 2) + 1e-5 * _e(3, 1, 2),
+             _e(3, 0, 1), _e(3, 1, 0), _e(3, 1, 2), _e(3, 2, 1)]
+    inst = QuasiAlgebraInstance(basis, [0, 1, 2], 0)
+    phi = IpsForm("vector_state", np.eye(3) / 3.0)
+    invariance_residual(phi, inst, DEFAULT_TOL.override(structure=1e-2))
+    with pytest.raises(ClosureViolation):
+        invariance_residual(phi, inst, DEFAULT_TOL)
 
 
 # -- sufficiency -----------------------------------------------------------

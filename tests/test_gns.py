@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qstarlab import (IpsForm, NotIps, ZeroForm, build_gns, form_equal,
-                      load_bundle, reconstruction_defect, rep_norm, twist)
+                      load_bundle, reconstruction_defect, twist)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,7 @@ def test_full_matrix_reps_are_faithful(m2full):
                 assert rep.rep_norm(inst.basis_element(i)) > 0.1
 
 
-def test_rep_norm_module_level(m2, phi):
+def test_rep_norm_is_operator_norm(m2, phi):
+    rep = build_gns(phi, m2)
     a = m2.basis_element(1)
-    assert abs(rep_norm(phi, m2, a) - build_gns(phi, m2).rep_norm(a)) == 0.0
+    assert rep.rep_norm(a) == float(np.linalg.norm(rep.rep_matrix(a), 2))

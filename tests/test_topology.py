@@ -1,5 +1,8 @@
 """Seminorms, topology comparison, and the candidate qualification harness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,16 @@ def test_ga_star_deterministic(diag):
     a = ga_star_check(diag["families"]["good"], diag["instance"]).as_dict()
     b = ga_star_check(diag["families"]["good"], diag["instance"]).as_dict()
     assert a == b
+
+
+def test_no_reference_cycles_keep_an_instance_alive():
+    gc.disable()
+    try:
+        bundle = load_bundle("m2_diag")
+        inst, fam = bundle["instance"], bundle["families"]["good"]
+        assert ga_star_check(fam, inst).verdict
+        ref = weakref.ref(inst)
+        del bundle, inst, fam
+        assert ref() is None
+    finally:
+        gc.enable()
