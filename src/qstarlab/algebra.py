@@ -10,6 +10,7 @@ against the declared basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,15 +27,20 @@ from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
+def _is_finite_number(value):
+    # bool is an int subclass, and json.loads reads NaN and Infinity
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _as_complex_entry(value, source, field_name):
-    """Accept a plain number or an [re, im] pair."""
-    if isinstance(value, (int, float)):
+    """Accept a finite plain number or a finite [re, im] pair."""
+    if _is_finite_number(value):
         return complex(value, 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+        if _is_finite_number(re) and _is_finite_number(im):
             return complex(re, im)
-    raise ParseError(source, f"expected number or [re, im] pair, got {value!r}", field=field_name)
+    raise ParseError(source, f"expected finite number or [re, im] pair, got {value!r}", field=field_name)
 
 
 def parse_complex_matrix(rows, source, field_name, shape=None):
@@ -323,6 +329,12 @@ class ValidationReport:
 def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Check every structural axiom of the instance and report residuals.
 
+    Each span-closure check stacks all its products (or adjoints) as the
+    columns of one matrix and projects them onto the span in one shot,
+    reporting the largest residual relative to the factors' Frobenius
+    norms, with the indices where it occurs.  Associativity and the
+    anti-homomorphism law are probed on a few seeded random combinations.
+
     Pure and deterministic: the same instance and tolerances produce the
     same report.  Nothing is raised for mathematical failures; use
     ``ensure_valid`` for the raising variant.
@@ -349,92 +361,61 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
         {"residual": unit_res, "unit_in_subalgebra": unit_in_a0},
     ))
 
-    a0_mats = [alg.basis[i] for i in alg.a0_indices]
+    ix = list(alg.a0_indices)
+    B = np.stack(alg.basis)
+    X = B[ix]
+    nb = np.linalg.norm(B.reshape(d, -1), axis=1)
+    nx = nb[ix]
 
-    def span_residual(m, sub):
-        if sub:
-            _, r = alg.a0_coeffs_of(m)
-        else:
-            _, r = alg.coeffs_of(m)
-        return r
+    def closure(name, prods, scale, key, where, sub):
+        """Worst span residual of the products, relative to their scale;
+        ``where`` maps the position of the worst product to its indices."""
+        P = prods.reshape(-1, n * n).T
+        bmat, pinv = (alg._bmat_a0, alg._pinv_a0) if sub else (alg._bmat, alg._pinv)
+        rel = np.linalg.norm(bmat @ (pinv @ P) - P, axis=0) / np.maximum(scale.reshape(-1), 1e-300)
+        worst = float(rel.max(initial=0.0))
+        at = where(*(int(i) for i in np.unravel_index(np.argmax(rel), scale.shape))) if worst > 0 else None
+        checks.append(CheckResult(name, worst <= tol.structure, {"max_residual": worst, key: at}))
 
-    worst = (0.0, None)
-    for j, x in enumerate(a0_mats):
-        for k, y in enumerate(a0_mats):
-            scale = max(float(np.linalg.norm(x)) * float(np.linalg.norm(y)), 1e-300)
-            r = span_residual(x @ y, sub=True) / scale
-            if r > worst[0]:
-                worst = (r, (alg.a0_indices[j], alg.a0_indices[k]))
-    checks.append(CheckResult(
-        "subalgebra-product-closure",
-        worst[0] <= tol.structure,
-        {"max_residual": worst[0], "worst_pair": worst[1]},
-    ))
+    def adj(M):
+        return M.conj().swapaxes(-1, -2)
 
-    worst = (0.0, None)
-    for j, x in enumerate(a0_mats):
-        scale = max(float(np.linalg.norm(x)), 1e-300)
-        r = span_residual(x.conj().T, sub=True) / scale
-        if r > worst[0]:
-            worst = (r, alg.a0_indices[j])
-    checks.append(CheckResult(
-        "subalgebra-involution-closure",
-        worst[0] <= tol.structure,
-        {"max_residual": worst[0], "worst_index": worst[1]},
-    ))
+    closure("subalgebra-product-closure", X[:, None] @ X[None], np.outer(nx, nx),
+            "worst_pair", lambda j, k: (ix[j], ix[k]), sub=True)
+    closure("subalgebra-involution-closure", adj(X), nx,
+            "worst_index", lambda j: ix[j], sub=True)
+    closure("involution-closure", adj(B), nb,
+            "worst_index", lambda i: i, sub=False)
+    closure("bimodule-closure", np.stack([X[:, None] @ B, B @ X[:, None]], axis=2),
+            np.repeat(np.outer(nx, nb)[:, :, None], 2, axis=2),
+            "worst_triple", lambda j, i, s: (("left", "right")[s], ix[j], i), sub=False)
 
-    worst = (0.0, None)
-    for i, a in enumerate(alg.basis):
-        scale = max(float(np.linalg.norm(a)), 1e-300)
-        r = span_residual(a.conj().T, sub=False) / scale
-        if r > worst[0]:
-            worst = (r, i)
-    checks.append(CheckResult(
-        "involution-closure",
-        worst[0] <= tol.structure,
-        {"max_residual": worst[0], "worst_index": worst[1]},
-    ))
+    # (x a) y = x (a y), a (x y) = (a x) y and (a x)^H = x^H a^H hold
+    # identically for matrices, so their residuals certify only the
+    # floating-point arithmetic.  Freivalds-style, they are taken on a few
+    # random unit combinations x, y of A0 and a of A, from a fixed local
+    # seed so that reports stay deterministic.
+    rng = np.random.default_rng(1977)
 
-    worst = (0.0, None)
-    for j, x in enumerate(a0_mats):
-        for i, a in enumerate(alg.basis):
-            scale = max(float(np.linalg.norm(x)) * float(np.linalg.norm(a)), 1e-300)
-            for side, prod in (("left", x @ a), ("right", a @ x)):
-                r = span_residual(prod, sub=False) / scale
-                if r > worst[0]:
-                    worst = (r, (side, alg.a0_indices[j], i))
-    checks.append(CheckResult(
-        "bimodule-closure",
-        worst[0] <= tol.structure,
-        {"max_residual": worst[0], "worst_triple": worst[1]},
-    ))
+    def combos(M):
+        c = rng.standard_normal((4, len(M))) + 1j * rng.standard_normal((4, len(M)))
+        return np.tensordot(c / np.linalg.norm(c, axis=1, keepdims=True), M, axes=1)
 
-    # (x a) y = x (a y) and a (x y) = (a x) y hold for matrices up to
-    # floating point; the residual certifies the arithmetic only.
-    worst = 0.0
-    for x in a0_mats:
-        nx = float(np.linalg.norm(x))
-        for y in a0_mats:
-            ny = float(np.linalg.norm(y))
-            for a in alg.basis:
-                na = float(np.linalg.norm(a))
-                scale = max(nx * ny * na, 1e-300)
-                r1 = float(np.linalg.norm((x @ a) @ y - x @ (a @ y))) / scale
-                r2 = float(np.linalg.norm(a @ (x @ y) - (a @ x) @ y)) / scale
-                worst = max(worst, r1, r2)
+    x, y, a = combos(X), combos(X), combos(B)
+
+    def norms(M):
+        return np.linalg.norm(M, axis=(1, 2))
+
+    scale = np.maximum(norms(x) * norms(y) * norms(a), 1e-300)
+    worst = max(float((norms((x @ a) @ y - x @ (a @ y)) / scale).max()),
+                float((norms(a @ (x @ y) - (a @ x) @ y) / scale).max()))
     checks.append(CheckResult(
         "associativity",
         worst <= tol.structure,
         {"max_residual": worst},
     ))
 
-    worst = 0.0
-    for x in a0_mats:
-        nx = float(np.linalg.norm(x))
-        for a in alg.basis:
-            scale = max(nx * float(np.linalg.norm(a)), 1e-300)
-            r = float(np.linalg.norm((a @ x).conj().T - x.conj().T @ a.conj().T)) / scale
-            worst = max(worst, r)
+    worst = float((norms(adj(a @ x) - adj(x) @ adj(a)) / np.maximum(norms(x) * norms(a), 1e-300)).max())
     checks.append(CheckResult(
         "involution-antihomomorphism",
         worst <= tol.structure,

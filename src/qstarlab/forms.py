@@ -412,9 +412,20 @@ class FamilyContext:
     @cached_property
     def closure(self):
         """(members, Gram matrices, spectral norms) of the effective family."""
+        return self._grown[:3]
+
+    @cached_property
+    def untwisted(self):
+        """The closure members that building the closure never twisted: the
+        last round's additions, or every member at depth 0.  Every other
+        member's twists were pushed and found in the closure or zero."""
+        return self._grown[3]
+
+    @cached_property
+    def _grown(self):
         if not self.balanced:
             return self.seeds, self.seed_grams, tuple(
-                float(np.linalg.norm(G, 2)) for G in self.seed_grams)
+                float(np.linalg.norm(G, 2)) for G in self.seed_grams), self.seeds
         alg, tol = self.alg, self.tol
         members, grams, norms, units = [], [], [], []
 
@@ -440,7 +451,8 @@ class FamilyContext:
                     if push(tw, tw.gram(alg)):
                         new.append(tw)
             frontier = new
-        return tuple(members), tuple(grams), tuple(norms)
+        return tuple(members), tuple(grams), tuple(norms), \
+            tuple(frontier) if self.depth > 0 else tuple(members)
 
     @cached_property
     def nonzero(self):
@@ -566,7 +578,7 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
         worst = ""
         top = max(norms, default=0.0)
         units = ctx.nonzero[1]
-        for phi in members:
+        for phi in ctx.untwisted:
             for j in range(alg.a0_dim):
                 Gt = twist(phi, alg.a0_basis_element(j), tol).gram(alg)
                 gn = float(np.linalg.norm(Gt, 2))

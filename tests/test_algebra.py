@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from qstarlab import (ClosureViolation, DependentBasis, MissingUnit, NotInA0,
-                      ParseError, QuasiAlgebraInstance, ensure_valid,
-                      hermitian_parts, load_bundle, module_product,
-                      validate_structure)
+from qstarlab import (DEFAULT_TOL, ClosureViolation, DependentBasis,
+                      MissingUnit, NotInA0, ParseError, QuasiAlgebraInstance,
+                      ensure_valid, hermitian_parts, load_bundle,
+                      module_product, validate_structure)
+from qstarlab.report import dumps
+
+from corpus import make_corpus
 
 
 def _eij(n, i, j):
@@ -65,6 +68,119 @@ def test_subalgebra_not_closed_under_products():
     assert "subalgebra-involution-closure" in failed
     with pytest.raises(ClosureViolation):
         ensure_valid(inst)
+
+
+def _closure_reference(alg):
+    """The four span-closure checks one product at a time: name ->
+    (max relative residual, indices of the worst product or None)."""
+    a0 = [alg.basis[i] for i in alg.a0_indices]
+    sub = lambda m: alg.a0_coeffs_of(m)[1]
+    full = lambda m: alg.coeffs_of(m)[1]
+    fro = np.linalg.norm
+
+    def worst(items):
+        best = (0.0, None)
+        for res, scale, where in items:
+            r = res / max(scale, 1e-300)
+            if r > best[0]:
+                best = (r, where)
+        return best
+
+    ix = alg.a0_indices
+    return {
+        "subalgebra-product-closure": worst(
+            (sub(x @ y), fro(x) * fro(y), (ix[j], ix[k]))
+            for j, x in enumerate(a0) for k, y in enumerate(a0)),
+        "subalgebra-involution-closure": worst(
+            (sub(x.conj().T), fro(x), ix[j]) for j, x in enumerate(a0)),
+        "involution-closure": worst(
+            (full(a.conj().T), fro(a), i) for i, a in enumerate(alg.basis)),
+        "bimodule-closure": worst(
+            (full(prod), fro(x) * fro(a), (side, ix[j], i))
+            for j, x in enumerate(a0) for i, a in enumerate(alg.basis)
+            for side, prod in (("left", x @ a), ("right", a @ x))),
+    }
+
+
+def _bimodule_breaker():
+    # A0 = span{I, E00, E11} and A = A0 + span{a}, a = E01 + 2 E12 + 3 E20:
+    # a.E00 = 3 E20 leaves A, and so does every other proper product.  The
+    # weights keep the worst product unique, and the element outside A0
+    # comes first so that basis and subalgebra positions differ.
+    a = _eij(3, 0, 1) + 2 * _eij(3, 1, 2) + 3 * _eij(3, 2, 0)
+    basis = [a, np.eye(3, dtype=complex), _eij(3, 0, 0), _eij(3, 1, 1)]
+    return QuasiAlgebraInstance(basis, a0_indices=[1, 2, 3], unit_index=1)
+
+
+def _closure_cases():
+    cases = [load_bundle(name)["instance"]
+             for name in ("m2_diag", "m2_full", "m3_pattern", "m2_flip", "lp_k2_p4")]
+    # C inside M_1: every residual is exactly zero and no worst item exists
+    cases.append(QuasiAlgebraInstance([np.eye(1)], a0_indices=[0], unit_index=0))
+    for n, count in ((4, 4), (6, 3), (8, 2)):
+        cases += [inst for inst, _ in make_corpus(count=count, seed=0x5A + n, n_min=n, n_max=n)]
+    # A0 = span{I, E01} is not closed under the involution (as in
+    # test_subalgebra_not_closed_under_products), here inside A = M_2 too
+    cases.append(QuasiAlgebraInstance([np.eye(2, dtype=complex), _eij(2, 0, 1)],
+                                      a0_indices=[0, 1], unit_index=0))
+    cases.append(QuasiAlgebraInstance(
+        [_eij(2, 1, 0), _eij(2, 0, 0), np.eye(2, dtype=complex), _eij(2, 0, 1)],
+        a0_indices=[2, 3], unit_index=2))
+    # A0 = span{I, h}, h = 3 (E01 + E10) in M_3: h.h = 9 (E00 + E11) is
+    # in A but not in A0
+    h = 3 * (_eij(3, 0, 1) + _eij(3, 1, 0))
+    cases.append(QuasiAlgebraInstance([_eij(3, 0, 0) + _eij(3, 1, 1), np.eye(3, dtype=complex), h],
+                                      a0_indices=[1, 2], unit_index=1))
+    cases.append(_bimodule_breaker())
+    return cases
+
+
+def test_closure_checks_match_per_item_reference():
+    tol = DEFAULT_TOL.structure
+    failures = set()
+    for inst in _closure_cases():
+        checks = {c.name: c for c in validate_structure(inst).checks}
+        for name, (ref, where) in _closure_reference(inst).items():
+            got = checks[name]
+            assert got.passed == (ref <= tol), (inst.label, name)
+            res = got.data["max_residual"]
+            at = next(v for k, v in got.data.items() if k.startswith("worst_"))
+            assert (at is None) == (res == 0.0) == (where is None), (inst.label, name)
+            if ref > tol:
+                failures.add(name)
+                assert at == where, (inst.label, name)
+                assert abs(res - ref) <= 1e-12 * ref, (inst.label, name)
+            else:
+                # at noise level near-ties may pick a different worst item
+                assert res <= 1e-12 and ref <= 1e-12, (inst.label, name)
+    assert failures == {"subalgebra-product-closure", "subalgebra-involution-closure",
+                        "involution-closure", "bimodule-closure"}
+
+
+def test_bimodule_violation_raises_with_its_triple():
+    # A0 = span{I, E00, E11}, A = A0 + span{E01 + E12, E10 + E21}: closed
+    # under the involution, but E00 (E01 + E12) = E01 leaves A
+    basis = [np.eye(3, dtype=complex), _eij(3, 0, 0), _eij(3, 1, 1),
+             _eij(3, 0, 1) + _eij(3, 1, 2), _eij(3, 1, 0) + _eij(3, 2, 1)]
+    inst = QuasiAlgebraInstance(basis, a0_indices=[0, 1, 2], unit_index=0)
+    failed = [c for c in validate_structure(inst).checks if not c.passed]
+    assert [c.name for c in failed] == ["bimodule-closure"]
+    with pytest.raises(ClosureViolation) as info:
+        ensure_valid(inst)
+    assert info.value.context == "bimodule-closure"
+    assert info.value.indices == failed[0].data["worst_triple"]
+    side, j, i = info.value.indices
+    assert side in ("left", "right") and j in (1, 2) and i in (3, 4)
+
+
+def test_report_ignores_global_rng_and_n8_corpus_validates():
+    for inst, _ in make_corpus(count=4, seed=0x88, n_min=8, n_max=8):
+        reports = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            reports.append(dumps(validate_structure(inst).as_dict()))
+        assert reports[0] == reports[1]
+        assert validate_structure(inst).valid, inst.label
 
 
 def test_element_round_trip_and_star(m2):

@@ -65,6 +65,35 @@ def test_bad_element_syntax_is_exit_2():
     assert out.returncode == 2
 
 
+def _bundle_with_entry(tmp_path, entry):
+    bundle = json.loads((Path(SRC) / "qstarlab" / "bundled" / "m2_diag.json").read_text())
+    bundle["instance"]["basis"][1][0][1] = entry
+    path = tmp_path / "m2_diag_edited.json"
+    path.write_text(json.dumps(bundle))
+    return str(path)
+
+
+def _assert_parse_error(out, field):
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert f"field '{field}': expected finite number or [re, im] pair" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_non_finite_instance_entry_is_exit_2(tmp_path):
+    _assert_parse_error(run("validate", _bundle_with_entry(tmp_path, float("nan"))), "basis[1]")
+
+
+def test_boolean_instance_entry_is_exit_2(tmp_path):
+    _assert_parse_error(run("validate", _bundle_with_entry(tmp_path, True)), "basis[1]")
+
+
+def test_non_finite_element_is_exit_2():
+    _assert_parse_error(run("norm", "bundled:m2_diag", "--family", "good",
+                            "--element", "[NaN,0,0,0]"), "[0]")
+
+
 def test_analysis_error_is_exit_3():
     # the bad family never separates points, so the norm is undefined
     out = run("norm", "bundled:m2_diag", "--family", "bad", "--element", "e")

@@ -203,6 +203,19 @@ def test_validate_family_bundles():
                                   [c.name for c in rep.checks if not c.passed])
 
 
+def test_twist_stability_twists_only_the_last_round(monkeypatch):
+    # the closure twists both seed directions once; the stability check
+    # twists only the one member the closure added in its last round
+    from qstarlab import forms
+    calls = []
+    monkeypatch.setattr(forms, "twist", lambda *a, **k: calls.append(1) or twist(*a, **k))
+    b = load_bundle("m2_diag")
+    rep = validate_family(b["families"]["good"], b["instance"])
+    assert len(calls) == 4
+    stability = next(c for c in rep.checks if c.name == "twist-stability")
+    assert stability.passed and stability.note == "closure reproduces itself under basis twists"
+
+
 def test_family_json_round_trip(m2, good):
     fam = FormFamily.from_json(good.as_jsonable())
     assert fam.balanced == good.balanced
