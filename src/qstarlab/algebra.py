@@ -27,9 +27,14 @@ from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
+def _is_int(value):
+    # bool is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value):
-    # bool is an int subclass, and json.loads reads NaN and Infinity
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # json.loads also reads NaN and Infinity
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 def _as_complex_entry(value, source, field_name):
@@ -93,6 +98,9 @@ class QuasiAlgebraInstance:
         self.basis = tuple(mats)
         self.dim = len(mats)
         self.a0_indices = tuple(sorted(int(i) for i in a0_indices))
+        if not self.a0_indices:
+            raise ParseError("<instance>", "the subalgebra needs at least one basis index",
+                             field="a0_indices")
         if len(set(self.a0_indices)) != len(self.a0_indices):
             raise ParseError("<instance>", "duplicate subalgebra indices", field="a0_indices")
         for i in self.a0_indices:
@@ -214,17 +222,17 @@ class QuasiAlgebraInstance:
             if key not in payload:
                 raise ParseError(source, f"missing required key '{key}'", field=key)
         n = payload["n"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ParseError(source, f"n must be a positive integer, got {n!r}", field="n")
         basis_raw = payload["basis"]
         if not isinstance(basis_raw, list) or not basis_raw:
             raise ParseError(source, "basis must be a non-empty list", field="basis")
         basis = [parse_complex_matrix(b, source, f"basis[{i}]", shape=(n, n)) for i, b in enumerate(basis_raw)]
         a0 = payload["a0_indices"]
-        if not isinstance(a0, list) or not all(isinstance(i, int) for i in a0):
+        if not isinstance(a0, list) or not all(_is_int(i) for i in a0):
             raise ParseError(source, "a0_indices must be a list of integers", field="a0_indices")
         unit = payload["unit_index"]
-        if not isinstance(unit, int):
+        if not _is_int(unit):
             raise ParseError(source, "unit_index must be an integer", field="unit_index")
         return cls(basis, a0, unit, label=str(payload.get("label", "")))
 

@@ -23,8 +23,8 @@ from .bounded import (cone_membership, cone_witness_element, m_bounded_norm,
                       radical, weak_product)
 from .bundled import bundle_names, load_bundle
 from .errors import ParseError, QStarError
-from .forms import FormFamily, is_dense, validate_family
-from .gns import build_gns, reconstruction_defect
+from .forms import FormFamily, validate_family
+from .gns import reconstruction_defect
 from .lp_model import holder_sup, lp_bounded_norm, weight_ascent_oracle
 from .probes import DEFAULT_SEED, standard_probes
 from .report import dumps
@@ -157,17 +157,19 @@ def _cmd_forms(args, tol):
 
 def _cmd_gns(args, tol):
     inst, fam = _load_family(args)
+    ctx = fam.context(inst, tol)
+    reps = dict(zip(ctx.dense_seeds, ctx.reps)) if ctx.dense_seeds else {}
     out = []
     for phi in fam.seeds:
-        if not is_dense(phi, inst, tol):
+        rep = reps.get(phi)
+        if rep is None:
             out.append({"label": phi.label, "dense": False})
             continue
-        rep = build_gns(phi, inst, tol)
         out.append({
             "label": phi.label, "dense": True, "dim_H": rep.dim_H,
             "residual_lambda": rep.residual_lambda,
             "residual_rep": rep.residual_rep,
-            "reconstruction_defect": reconstruction_defect(phi, inst, tol),
+            "reconstruction_defect": reconstruction_defect(rep),
         })
     return {"command": "gns", "source": args.source, "family": fam.label,
             "representations": out}
@@ -218,7 +220,7 @@ def _cmd_topology(args, tol):
     F = BoundedFormSet.from_family(fam, inst, tol)
     a = _parse_element(inst, args.element) if args.element else inst.unit
     probes = standard_probes(inst, count=args.probes, seed=args.seed)
-    mult_bounds = [left_mult_bound(F, inst.a0_basis_element(j), inst, tol)
+    mult_bounds = [left_mult_bound(fam, inst.a0_basis_element(j), inst, tol)
                    for j in range(inst.a0_dim)]
     comparison = compare_topologies(F, "upper", F, "star", probes)
     return {

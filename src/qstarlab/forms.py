@@ -479,6 +479,11 @@ class FamilyContext:
                      for G in self.seed_grams)
 
     @cached_property
+    def member_sections(self):
+        """Per closure member, the quotient section of its whole Gram matrix."""
+        return tuple(quotient_section(G, self.tol.rank) for G in self.closure[1])
+
+    @cached_property
     def dense_seeds(self):
         return tuple(phi for phi, G in zip(self.seeds, self.seed_grams)
                      if _dense(G, self.alg, self.tol))

@@ -122,10 +122,8 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
     )
 
 
-def reconstruction_defect(phi: IpsForm, alg: QuasiAlgebraInstance,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def reconstruction_defect(rep: GnsRep) -> float:
     """Relative Gram distance between the form and its cyclic reconstruction."""
-    rep = build_gns(phi, alg, tol)
-    G = phi.gram(alg)
-    H = rep.vector_form().gram(alg)
+    G = rep.form.gram(rep.alg)
+    H = rep.vector_form().gram(rep.alg)
     return float(np.linalg.norm(G - H, 2)) / max(float(np.linalg.norm(G, 2)), 1e-300)

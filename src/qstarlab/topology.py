@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import Element, QuasiAlgebraInstance
 from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norm
 from .errors import EmptyFamily, NotIps, NotSufficient
-from .forms import FormFamily, quotient_section, twist
+from .forms import FormFamily, twist
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -98,9 +98,10 @@ def twisted_set(F: BoundedFormSet, x: Element,
                           label=f"{F.label}^tw")
 
 
-def left_mult_bound(F: BoundedFormSet, x: Element, alg: QuasiAlgebraInstance,
+def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
                     tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Smallest c with phi(a.x, a.x) <= c^2 phi(a, a) for every member phi.
+    """Smallest c with phi(a.x, a.x) <= c^2 phi(a, a) for every member phi
+    of the effective family.
 
     A finite value certifies upper_F(a.x) <= c upper_F(a).  The constant
     is required uniformly per member, which is the bound that survives
@@ -111,15 +112,15 @@ def left_mult_bound(F: BoundedFormSet, x: Element, alg: QuasiAlgebraInstance,
     null space makes the bound infinite.
     """
     R, _ = alg.right_mult_matrix(x.matrix)
+    slack = tol.psd * max(1.0, float(np.linalg.norm(R, 2)) ** 2)
+    ctx = family.context(alg, tol)
     worst = 0.0
-    for phi in F.forms:
-        G = phi.gram(alg)
-        sec = quotient_section(G, tol.rank)
+    for G, sec in zip(ctx.closure[1], ctx.member_sections):
         if sec.wmax == 0.0:
             continue
         L = R.conj().T @ G @ R
         L = (L + L.conj().T) / 2.0
-        if sec.leak(L) > tol.psd * sec.wmax * max(1.0, float(np.linalg.norm(R, 2)) ** 2):
+        if sec.leak(L) > slack * sec.wmax:
             return float("inf")
         worst = max(worst, sec.gain(L))
     return worst

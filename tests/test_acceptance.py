@@ -69,7 +69,7 @@ def test_criterion_01_gns_reconstruction():
             if not is_dense(phi, inst):
                 continue
             n_pairs += 1
-            worst = max(worst, reconstruction_defect(phi, inst))
+            worst = max(worst, reconstruction_defect(build_gns(phi, inst)))
     elapsed = time.perf_counter() - started
     ok = n_pairs >= 50 and worst <= 1e-9 and elapsed < 5.0
     _verdict(1, "gns-reconstruction",

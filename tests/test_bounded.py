@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from corpus import make_corpus
-from qstarlab import (AmbiguousProduct, FamilyNotBalanced, NotSufficient,
+from qstarlab import (AmbiguousProduct, CharacterizationMismatch,
+                      FamilyNotBalanced, GnsRep, NotSufficient,
                       NotWellDefined, build_gns, check_condition_product,
                       cone_intersection_null, cone_membership,
                       cone_witness_element, extract_bounded_algebra,
@@ -50,15 +51,22 @@ def test_routes_agree_for_hermitian(m2, good):
 
 
 def test_shift_norm_counterexample(m2, good):
-    # the one-sided shift: norm one, numerical radius one half, so the
-    # quadratic route is genuinely weaker off the Hermitian locus
+    # the one-sided shift: norm one but numerical radius one half, so the
+    # quadratic route, which only equals the norm on Hermitian elements,
+    # is left out here
     a = m2.basis_element(1)
     rep = m_bounded_norm(a, good, m2)
     assert not rep.hermitian
     assert "quadratic" not in rep.routes
     assert abs(rep.value - 1.0) < 1e-9
-    assert abs(rep.routes["radius"] - 0.5) < 1e-6
     assert all(c.passed for c in rep.checks)
+
+
+def test_nan_route_raises(m2, good, monkeypatch):
+    # a NaN fails every comparison, so the cross-check alone would pass it
+    monkeypatch.setattr(GnsRep, "rep_norm", lambda self, a: float("nan"))
+    with pytest.raises(CharacterizationMismatch):
+        m_bounded_norm(m2.basis_element(1), good, m2)
 
 
 def test_norm_homogeneity_and_triangle(m2, good):

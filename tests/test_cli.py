@@ -65,9 +65,12 @@ def test_bad_element_syntax_is_exit_2():
     assert out.returncode == 2
 
 
-def _bundle_with_entry(tmp_path, entry):
+def _bundle_with(tmp_path, entry=None, **fields):
+    """m2_diag's bundle with a basis entry and top-level instance fields replaced."""
     bundle = json.loads((Path(SRC) / "qstarlab" / "bundled" / "m2_diag.json").read_text())
-    bundle["instance"]["basis"][1][0][1] = entry
+    if entry is not None:
+        bundle["instance"]["basis"][1][0][1] = entry
+    bundle["instance"].update(fields)
     path = tmp_path / "m2_diag_edited.json"
     path.write_text(json.dumps(bundle))
     return str(path)
@@ -82,11 +85,32 @@ def _assert_parse_error(out, field):
 
 
 def test_non_finite_instance_entry_is_exit_2(tmp_path):
-    _assert_parse_error(run("validate", _bundle_with_entry(tmp_path, float("nan"))), "basis[1]")
+    _assert_parse_error(run("validate", _bundle_with(tmp_path, float("nan"))), "basis[1]")
 
 
 def test_boolean_instance_entry_is_exit_2(tmp_path):
-    _assert_parse_error(run("validate", _bundle_with_entry(tmp_path, True)), "basis[1]")
+    _assert_parse_error(run("validate", _bundle_with(tmp_path, True)), "basis[1]")
+
+
+def _assert_field_error(out, field):
+    assert out.returncode == 2
+    assert f"field '{field}'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_empty_subalgebra_is_exit_2(tmp_path):
+    _assert_field_error(run("validate", _bundle_with(tmp_path, a0_indices=[])), "a0_indices")
+
+
+def test_boolean_dimension_is_exit_2(tmp_path):
+    _assert_field_error(run("validate", _bundle_with(tmp_path, n=True)), "n")
+
+
+def test_boolean_indices_are_exit_2(tmp_path):
+    # false and true would otherwise pass as the indices 0 and 1
+    _assert_field_error(run("validate", _bundle_with(tmp_path, unit_index=False)), "unit_index")
+    _assert_field_error(run("validate", _bundle_with(tmp_path, a0_indices=[False, 3])),
+                        "a0_indices")
 
 
 def test_non_finite_element_is_exit_2():
@@ -109,8 +133,23 @@ def test_norm_values_from_cli():
               "--element", "basis:1")
     report = json.loads(out.stdout)["report"]
     assert abs(report["value"] - 1.0) < 1e-9
-    assert abs(report["routes"]["radius"] - 0.5) < 1e-6
     assert report["hermitian"] is False
+
+
+def _norm_value(element):
+    out = run("norm", "bundled:m2_diag", "--family", "good", "--element", element)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    return json.loads(out.stdout)["report"]["value"]
+
+
+def test_norm_of_tiny_element_does_not_underflow():
+    assert abs(_norm_value("[1e-200,0,0,0]") - 1e-200) <= 1e-12 * 1e-200
+
+
+def test_norm_of_huge_element_does_not_overflow():
+    # squaring 1e300 overflows, so the routes must work on the scaled element
+    assert abs(_norm_value("[1,0,0,1e300]") - 1e300) <= 1e-12 * 1e300
 
 
 def test_weakprod_cli():

@@ -37,7 +37,7 @@ def test_dimensions_and_residuals(m2, phi):
 
 
 def test_reconstruction_is_exact(m2, phi):
-    assert reconstruction_defect(phi, m2) <= 1e-12
+    assert reconstruction_defect(build_gns(phi, m2)) <= 1e-12
 
 
 def test_inner_product_reproduces_form(m2, phi):
@@ -114,7 +114,7 @@ def test_full_matrix_reps_are_faithful(m2full):
         for phi in fam.seeds:
             rep = build_gns(phi, inst)
             assert rep.dim_H == expect_dim[key]
-            assert reconstruction_defect(phi, inst) <= 1e-12
+            assert reconstruction_defect(rep) <= 1e-12
             # a nonzero element never acts as zero when the rep is faithful
             for i in range(inst.dim):
                 assert rep.rep_norm(inst.basis_element(i)) > 0.1
@@ -124,3 +124,17 @@ def test_rep_norm_is_operator_norm(m2, phi):
     rep = build_gns(phi, m2)
     a = m2.basis_element(1)
     assert rep.rep_norm(a) == float(np.linalg.norm(rep.rep_matrix(a), 2))
+
+
+def test_gns_command_reads_the_family_context(monkeypatch, capsys):
+    # the seed's Gram and representation come from the family context,
+    # and the reconstruction defect measures that representation
+    from qstarlab import cli, gns
+    builds, grams = [], []
+    build, gram = gns.build_gns, IpsForm.gram
+    monkeypatch.setattr(gns, "build_gns", lambda *a: builds.append(1) or build(*a))
+    monkeypatch.setattr(IpsForm, "gram", lambda *a: grams.append(1) or gram(*a))
+    assert cli.main(["gns", "bundled:m2_full", "--family", "trace"]) == 0
+    assert '"reconstruction_defect"' in capsys.readouterr().out
+    assert len(builds) == 1
+    assert len(grams) < 5

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qstarlab import (form_equal, hermitian_parts, holder_sup, load_bundle,
-                      p_upper, twist, weak_product, weight_ascent_oracle,
-                      BoundedFormSet)
+                      m_bounded_norm, p_upper, twist, weak_product,
+                      weight_ascent_oracle, BoundedFormSet)
 
 _diag = load_bundle("m2_diag")
 M2 = _diag["instance"]
@@ -77,6 +77,16 @@ def test_upper_seminorm_homogeneous(z, c):
     base = p_upper(FSET, a)
     assert p_upper(FSET, a * zc) <= abs(zc) * base + 1e-7 * max(base, 1.0)
     assert p_upper(FSET, a * zc) >= abs(zc) * base - 1e-7 * max(base, 1.0)
+
+
+@given(st.integers(min_value=-150, max_value=150), coeff_vectors(4))
+@settings(max_examples=200, deadline=None)
+def test_norm_homogeneous_across_scales(k, c):
+    a = M2.element(c)
+    base = m_bounded_norm(a, GOOD, M2)
+    scaled = m_bounded_norm(a * 10.0 ** k, GOOD, M2)
+    assert abs(scaled.value - 10.0 ** k * base.value) <= 1e-8 * 10.0 ** k * base.value
+    assert scaled.hermitian == base.hermitian
 
 
 @given(coeff_vectors(4), coeff_vectors(4))

@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from qstarlab import (BoundedFormSet, compare_topologies, ga_star_check, gamma,
-                      left_mult_bound, load_bundle, module_product, p_lower,
-                      p_star, p_upper, seminorm_eval, twisted_set, weak_product)
+from qstarlab import (BoundedFormSet, FormFamily, compare_topologies,
+                      ga_star_check, gamma, left_mult_bound, load_bundle,
+                      module_product, p_lower, p_star, p_upper, seminorm_eval,
+                      twisted_set, weak_product)
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,11 @@ def test_seminorm_kind_aliases(F, m2):
         seminorm_eval(F, a, "norm")
 
 
-def test_left_mult_bounds(F, m2):
-    assert left_mult_bound(F, m2.unit, m2) == pytest.approx(1.0, abs=1e-9)
+def test_left_mult_bounds(good, m2):
+    assert left_mult_bound(good, m2.unit, m2) == pytest.approx(1.0, abs=1e-9)
     # the second diagonal unit pushes mass into the null space of the
     # rank-one seed, so no finite constant works
-    assert left_mult_bound(F, m2.basis_element(3), m2) == float("inf")
+    assert left_mult_bound(good, m2.basis_element(3), m2) == float("inf")
 
 
 def test_left_mult_bound_certificate():
@@ -95,15 +96,28 @@ def test_left_mult_bound_certificate():
     # rank-deficient members whose leak makes the uniform constant blow up
     full = load_bundle("m2_full")
     inst = full["instance"]
-    Ftr = BoundedFormSet([full["families"]["trace"].seeds[0]])
+    trace = FormFamily([full["families"]["trace"].seeds[0]])
+    Ftr = BoundedFormSet.from_family(trace, inst)
     for j in range(inst.a0_dim):
         x = inst.a0_basis_element(j)
-        c = left_mult_bound(Ftr, x, inst)
+        c = left_mult_bound(trace, x, inst)
         assert np.isfinite(c)
         for seed in range(5):
             a = _rand_elem(inst, 400 + seed)
             ax = module_product(x, a, side="right")
             assert p_upper(Ftr, ax) <= c * p_upper(Ftr, a) + 1e-9
+
+
+def test_topology_command_builds_each_gram_once(monkeypatch, capsys):
+    # the multiplication bounds read the closure's Grams and sections from
+    # the family context, so only the closure itself builds Grams
+    from qstarlab import IpsForm, cli
+    calls = []
+    gram = IpsForm.gram
+    monkeypatch.setattr(IpsForm, "gram", lambda *a: calls.append(1) or gram(*a))
+    assert cli.main(["topology", "bundled:m3_pattern", "--family", "good"]) == 0
+    assert '"subalgebra_mult_bounds"' in capsys.readouterr().out
+    assert len(calls) == 4
 
 
 def test_compare_topologies_weak_vs_strong(F, m2):
