@@ -275,6 +275,16 @@ class Element:
         S, _ = self.alg.star_matrix()
         return Element(self.alg, S @ self.coeffs.conj())
 
+    def scaled(self):
+        """``(a / s, s)``, with s the largest real or imaginary part of the
+        coefficients (1 for zero), for homogeneous quantities that would
+        underflow or overflow on a itself.  Unlike |coeff|, s cannot
+        overflow, and the parts are divided as reals, since complex division
+        by a subnormal can."""
+        parts = self.coeffs.view(float)
+        s = float(np.abs(parts).max(initial=0.0)) or 1.0
+        return Element(self.alg, (parts / s).view(complex)), s
+
     def norm_frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
 

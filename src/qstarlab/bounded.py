@@ -66,6 +66,8 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
     """
     if not family.balanced:
         raise FamilyNotBalanced("the positive wedge is defined for balanced families")
+    # the pairing is linear in a: decide on a / s, report values times s
+    a, s = a.scaled()
     AX = (_right_mults(alg, tol) @ a.coeffs).T
     a0_idx = np.asarray(alg.a0_indices)
     report = ConeReport(member=True)
@@ -84,7 +86,7 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
         ok = herm_res <= tol.psd and rel >= -tol.psd
         report.per_generator.append({
             "label": phi.label, "herm_residual": herm_res,
-            "min_eig": min_eig, "relative_margin": rel, "passed": ok,
+            "min_eig": s * min_eig, "relative_margin": rel, "passed": ok,
         })
         if not ok and report.witness_coeffs is None:
             if herm_res > tol.psd:
@@ -95,7 +97,7 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
             else:
                 x0 = V[:, int(np.argmin(w))]
             report.witness_coeffs = x0
-            report.witness_value = complex(x0.conj() @ Q @ x0)
+            report.witness_value = s * complex(x0.conj() @ Q @ x0)
             report.witness_generator = phi.label
         report.member = report.member and ok
     return report
@@ -129,17 +131,12 @@ def cone_intersection_null(family: FormFamily, alg: QuasiAlgebraInstance,
         gn = float(np.linalg.norm(M, 2))
         if gn > 0:
             blocks.append(M / gn)
-    M = np.vstack(blocks)
-    _, s, Vh = np.linalg.svd(M)
-    smax = float(s.max(initial=0.0))
-    ncols = M.shape[1]
-    rank = int(np.sum(s > tol.rank * max(smax, 1e-300)))
-    dim_null = ncols - rank
-    basis = [Vh.conj().T[:, k] for k in range(rank, ncols)]
+    N = _null_basis(np.vstack(blocks), tol.rank)
+    dim_null = N.shape[1]
     suff = family.sufficiency(alg, tol)
     return {
         "dim": dim_null,
-        "basis_coeffs": basis,
+        "basis_coeffs": list(N.T),
         "matches_sufficiency": (dim_null == 0) == suff.sufficient,
         "sufficiency_dim_null": suff.dim_null,
     }
@@ -180,13 +177,8 @@ def m_bounded_norm(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
             f"family {family.label!r} does not separate points "
             f"(null dimension {suff.dim_null}); the norm is not definite")
 
-    # the norm is homogeneous: compute on a / s and scale back, so neither
-    # tiny nor huge coefficients underflow or overflow.  s is the largest
-    # real or imaginary part, which unlike |coeff| cannot overflow, and the
-    # parts are divided as reals, since complex division by a subnormal can
-    parts = a.coeffs.view(float)
-    s = float(np.abs(parts).max(initial=0.0)) or 1.0
-    a = alg.element((parts / s).view(complex))
+    # the norm is homogeneous: compute on a / s and scale back
+    a, s = a.scaled()
     herm = a.is_hermitian()
     ctx = family.context(alg, tol)
     AX = (_right_mults(alg, tol) @ a.coeffs).T
@@ -279,7 +271,8 @@ def weak_product(a: Element, b: Element, family: FormFamily, alg: QuasiAlgebraIn
     c = Vh.conj().T @ ((U.conj().T @ r) / s)
     resid = float(np.linalg.norm(M @ c - r))
     rnorm = float(np.linalg.norm(r))
-    if resid > tol.weak * max(rnorm, 1e-300):
+    # written so that a NaN residual fails too
+    if not resid <= tol.weak * max(rnorm, 1e-300):
         raise NotWellDefined(resid, rnorm)
     report = WeakProductReport(
         residual=resid, rhs_norm=rnorm, sigma_min=smin, sigma_max=smax,

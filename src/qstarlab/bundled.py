@@ -12,129 +12,35 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
 from .algebra import QuasiAlgebraInstance
 from .errors import ParseError
-from .forms import FormFamily, IpsForm
-from .lp_model import DiscreteLpAlgebra
-
-_DATA_PACKAGE = "qstarlab"
+from .forms import FormFamily
 
 
-def _eij(n, i, j):
-    E = np.zeros((n, n), dtype=complex)
-    E[i, j] = 1.0
-    return E
-
-
-def _vector_state(xi, label):
-    xi = np.asarray(xi, dtype=complex).reshape(-1, 1)
-    return IpsForm("vector_state", xi @ xi.conj().T, label=label)
-
-
-def _build_m2_diag():
-    basis = [np.eye(2, dtype=complex), _eij(2, 0, 1), _eij(2, 1, 0), _eij(2, 1, 1)]
-    inst = QuasiAlgebraInstance(basis, a0_indices=[0, 3], unit_index=0, label="m2-diag")
-    families = {
-        "good": FormFamily([_vector_state([1, 1], "xi11")], balanced=True,
-                           label="good"),
-        "bad": FormFamily([_vector_state([1, 0], "point1")], balanced=False,
-                          label="bad"),
-    }
-    description = ("full 2x2 matrices over the diagonal subalgebra; the 'good' "
-                   "seed separates only after the balanced closure, 'bad' is a "
-                   "single point state that never separates")
-    return inst, families, description
-
-
-def _build_m2_full():
-    basis = [np.eye(2, dtype=complex), _eij(2, 0, 1), _eij(2, 1, 0), _eij(2, 1, 1)]
-    inst = QuasiAlgebraInstance(basis, a0_indices=[0, 1, 2, 3], unit_index=0,
-                                label="m2-full")
-    families = {
-        "trace": FormFamily([IpsForm("vector_state", np.eye(2) / 2.0, "halftrace")],
-                            balanced=True, label="trace"),
-        "rank1": FormFamily([_vector_state([1, 1], "xi11")], balanced=True,
-                            label="rank1"),
-    }
-    description = "full 2x2 matrices acting on themselves; every form is everywhere dense"
-    return inst, families, description
-
-
-def _build_m3_pattern():
-    basis = [np.eye(3, dtype=complex), _eij(3, 1, 1), _eij(3, 2, 2),
-             _eij(3, 0, 1), _eij(3, 1, 0), _eij(3, 1, 2), _eij(3, 2, 1)]
-    inst = QuasiAlgebraInstance(basis, a0_indices=[0, 1, 2], unit_index=0,
-                                label="m3-pattern")
-    families = {
-        "good": FormFamily([_vector_state([1, 1, 1], "xi111")], balanced=True,
-                           label="good"),
-    }
-    description = ("tridiagonal-pattern span over the diagonals; products of the "
-                   "off-diagonal corners leave the span, so representation "
-                   "products are not representable")
-    return inst, families, description
-
-
-def _build_m2_flip():
-    flip = _eij(2, 0, 1) + _eij(2, 1, 0)
-    basis = [np.eye(2, dtype=complex), flip]
-    inst = QuasiAlgebraInstance(basis, a0_indices=[0], unit_index=0, label="m2-flip")
-    families = {
-        "amb": FormFamily([_vector_state([1, 1], "eta11")], balanced=True,
-                          label="amb"),
-    }
-    description = ("span of the identity and the flip over the scalars; the "
-                   "family is dense but does not separate the flip from the "
-                   "identity, so weak products are ambiguous")
-    return inst, families, description
-
-
-def _build_lp_k2_p4():
-    model = DiscreteLpAlgebra.build([0.5, 0.5])
-    families = {
-        "points": model.point_family(4.0, label="points"),
-    }
-    description = ("two-point discrete function model with uniform mass 1/2; "
-                   "frozen extremal case: values (1, 2) at exponent 4 give "
-                   "weight-ball supremum sqrt(8.5)")
-    return model.inst, families, description
-
-
-_BUILDERS = {
-    "m2_diag": _build_m2_diag,
-    "m2_full": _build_m2_full,
-    "m3_pattern": _build_m3_pattern,
-    "m2_flip": _build_m2_flip,
-    "lp_k2_p4": _build_lp_k2_p4,
-}
+def _bundle_dir():
+    return resources.files("qstarlab").joinpath("bundled")
 
 
 def bundle_names():
-    return sorted(_BUILDERS)
+    return sorted(p.name[:-len(".json")] for p in _bundle_dir().iterdir()
+                  if p.name.endswith(".json"))
 
 
-def bundle_jsonable(name: str) -> dict:
-    inst, families, description = _BUILDERS[name]()
-    return {
-        "label": name,
-        "description": description,
-        "instance": inst.as_jsonable(),
-        "families": {fname: fam.as_jsonable() for fname, fam in families.items()},
-    }
-
-
-def write_bundles(directory) -> None:
-    """Regenerate the shipped JSON files from the builders."""
-    from pathlib import Path
-
-    from .report import dumps
-
-    outdir = Path(directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name in bundle_names():
-        (outdir / f"{name}.json").write_text(dumps(bundle_jsonable(name)) + "\n")
+def parse_payload(payload, source: str):
+    """``(instance, families, description)`` from a decoded source: an
+    object with an ``instance`` and optional ``families`` and
+    ``description``, or a bare instance."""
+    if not isinstance(payload, dict):
+        raise ParseError(source, "payload must be an object")
+    if "instance" not in payload:
+        return QuasiAlgebraInstance.from_json(payload, source), {}, ""
+    families = payload.get("families", {})
+    if not isinstance(families, dict):
+        raise ParseError(source, "families must be an object of named families",
+                         field="families")
+    inst = QuasiAlgebraInstance.from_json(payload["instance"], source)
+    return (inst, {name: FormFamily.from_json(f, source) for name, f in families.items()},
+            str(payload.get("description", "")))
 
 
 def load_bundle(name: str) -> dict:
@@ -143,18 +49,9 @@ def load_bundle(name: str) -> dict:
     Returns a dict with the instance, a dict of families, and the
     description text.
     """
-    if name not in _BUILDERS:
-        raise ParseError(f"bundled:{name}",
-                         f"unknown bundle; available: {', '.join(bundle_names())}")
-    ref = resources.files(_DATA_PACKAGE).joinpath("bundled").joinpath(f"{name}.json")
-    payload = json.loads(ref.read_text())
     source = f"bundled:{name}"
-    inst = QuasiAlgebraInstance.from_json(payload["instance"], source)
-    families = {fname: FormFamily.from_json(f, source)
-                for fname, f in payload.get("families", {}).items()}
-    return {
-        "name": name,
-        "description": payload.get("description", ""),
-        "instance": inst,
-        "families": families,
-    }
+    if name not in bundle_names():
+        raise ParseError(source, f"unknown bundle; available: {', '.join(bundle_names())}")
+    payload = json.loads(_bundle_dir().joinpath(f"{name}.json").read_text())
+    inst, families, description = parse_payload(payload, source)
+    return {"name": name, "description": description, "instance": inst, "families": families}

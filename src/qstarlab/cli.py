@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import QuasiAlgebraInstance, _as_complex_entry, validate_structure
 from .bounded import (cone_membership, cone_witness_element, m_bounded_norm,
                       radical, weak_product)
-from .bundled import bundle_names, load_bundle
+from .bundled import bundle_names, load_bundle, parse_payload
 from .errors import ParseError, QStarError
 from .forms import FormFamily, validate_family
 from .gns import reconstruction_defect
@@ -44,13 +44,7 @@ def _load_source(source: str):
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(source, f"invalid JSON: {exc}") from None
-    if "instance" in payload:
-        inst = QuasiAlgebraInstance.from_json(payload["instance"], source)
-        families = {name: FormFamily.from_json(f, source)
-                    for name, f in payload.get("families", {}).items()}
-        return inst, families, payload.get("description", "")
-    inst = QuasiAlgebraInstance.from_json(payload, source)
-    return inst, {}, ""
+    return parse_payload(payload, source)
 
 
 def _pick_family(families: dict, name, source: str) -> FormFamily:
@@ -352,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
         _common_flags(p, trailing=True)
         return p
 
+    source_help = f"bundled:<name> or path to instance JSON; bundles: {', '.join(bundle_names())}"
+
     def add_source(p):
-        p.add_argument("source", help="bundled:<name> or path to instance JSON; "
-                                      f"bundles: {', '.join(bundle_names())}")
+        p.add_argument("source", help=source_help)
 
     def add_family(p):
         p.add_argument("--family", default=None, help="family name inside the source")

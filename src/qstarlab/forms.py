@@ -12,8 +12,10 @@ Validation checks positivity of the stored matrix, the module-invariance
 identity phi(a.x, y) = phi(x, a^H.y), and density: the subalgebra must
 reach every direction of the quotient space, measured by comparing Gram
 ranks.  Twisting by a subalgebra element x sends phi to
-phi^x(a, b) = phi(a.x, b.x); a family is balanced when it is closed under
-basis twists.
+phi^x(a, b) = phi(a.x, b.x), whose Gram matrix is R_x^H G R_x with R_x the
+matrix of right multiplication by x; a twist is therefore Gram-kind,
+whatever the kind of phi.  A family is balanced when it is closed under
+basis twists, and its closure members other than the seeds are Gram-kind.
 
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
@@ -27,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance, complex_matrix_jsonable, parse_complex_matrix
+from .algebra import (Element, QuasiAlgebraInstance, _is_int, complex_matrix_jsonable,
+                      parse_complex_matrix)
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -57,23 +60,22 @@ class IpsForm:
 
     def eval(self, a: Element, b: Element) -> complex:
         """phi(a, b): linear in a, conjugate linear in b."""
+        P = self._payload_for(a.alg)
         if self.kind == VECTOR_STATE:
-            return complex(np.trace(b.matrix.conj().T @ a.matrix @ self.payload))
-        G = self._gram_payload(a.alg)
-        return complex(b.coeffs.conj() @ G @ a.coeffs)
+            return complex(np.trace(b.matrix.conj().T @ a.matrix @ P))
+        return complex(b.coeffs.conj() @ P @ a.coeffs)
 
-    def _gram_payload(self, alg):
-        if self.kind == GRAM and self.payload.shape[0] != alg.dim:
-            raise ParseError("<form>", f"gram payload is {self.payload.shape[0]}x..., "
-                                       f"instance basis has {alg.dim} elements")
+    def _payload_for(self, alg):
+        size = alg.dim if self.kind == GRAM else alg.n
+        if self.payload.shape[0] != size:
+            raise ParseError("<form>", f"{self.kind} payload is {self.payload.shape[0]}x"
+                                       f"{self.payload.shape[0]}, the instance needs {size}x{size}")
         return self.payload
 
     def gram(self, alg: QuasiAlgebraInstance):
         """The d x d matrix G with phi(a, b) = b^H G a over the basis."""
-        if self.kind == GRAM:
-            G = self._gram_payload(alg)
-        else:
-            S = self.payload
+        G = S = self._payload_for(alg)
+        if self.kind == VECTOR_STATE:
             w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
             root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
             P = np.column_stack([(m @ root).reshape(-1) for m in alg.basis])
@@ -145,21 +147,21 @@ def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     return R0
 
 
+def _twisted_grams(G, R):
+    """The Grams R[k]^H G R[k] of the twists, for a stack R of
+    right-multiplication matrices."""
+    T = R.conj().transpose(0, 2, 1) @ G @ R
+    return (T + T.conj().transpose(0, 2, 1)) / 2.0
+
+
 def twist(phi: IpsForm, x: Element, tol: ToleranceConfig = DEFAULT_TOL) -> IpsForm:
-    """The twisted form phi^x(a, b) = phi(a.x, b.x) for x in the subalgebra."""
-    member, _, res = x.in_a0(tol)
+    """The twisted form phi^x(a, b) = phi(a.x, b.x) for x in the subalgebra,
+    as a Gram-kind form."""
+    member, c0, res = x.in_a0(tol)
     if not member:
         raise NotInA0(f"twist element outside the subalgebra: residual {res:.3e}")
-    if phi.kind == VECTOR_STATE:
-        X = x.matrix
-        S = X @ phi.payload @ X.conj().T
-        return IpsForm(VECTOR_STATE, (S + S.conj().T) / 2.0, label=f"{phi.label}^tw")
-    R, rres = x.alg.right_mult_matrix(x.matrix)
-    scale = max(x.norm_frobenius(), 1e-300)
-    if rres > tol.structure * scale * 100:
-        raise ClosureViolation("twist right-multiplication", rres / scale)
-    G = R.conj().T @ phi.gram(x.alg) @ R
-    return IpsForm(GRAM, (G + G.conj().T) / 2.0, label=f"{phi.label}^tw")
+    R = np.tensordot(c0, _right_mults(x.alg, tol), axes=1)
+    return IpsForm(GRAM, _twisted_grams(phi.gram(x.alg), R[None])[0], label=f"{phi.label}^tw")
 
 
 @dataclass
@@ -372,12 +374,12 @@ class FormFamily:
             if phi.label == phi.kind:
                 phi = IpsForm(phi.kind, phi.payload, label=f"phi{i}")
             gens.append(phi)
-        return cls(
-            gens,
-            balanced=bool(payload.get("balanced", False)),
-            twist_depth=int(payload.get("twist_depth", 1)),
-            label=str(payload.get("label", "family")),
-        )
+        depth = payload.get("twist_depth", 1)
+        if not _is_int(depth) or depth < 0:
+            raise ParseError(source, f"twist_depth must be a non-negative integer, got {depth!r}",
+                             field="twist_depth")
+        return cls(gens, balanced=bool(payload.get("balanced", False)), twist_depth=depth,
+                   label=str(payload.get("label", "family")))
 
     def as_jsonable(self):
         return {
@@ -416,43 +418,40 @@ class FamilyContext:
 
     @cached_property
     def untwisted(self):
-        """The closure members that building the closure never twisted: the
-        last round's additions, or every member at depth 0.  Every other
-        member's twists were pushed and found in the closure or zero."""
+        """(member, Gram) for the closure members that building the closure
+        never twisted: the last round's additions, or every member at depth
+        0.  Every other member's twists were pushed and found in the closure
+        or zero."""
         return self._grown[3]
 
     @cached_property
     def _grown(self):
+        pairs = tuple(zip(self.seeds, self.seed_grams))
         if not self.balanced:
             return self.seeds, self.seed_grams, tuple(
-                float(np.linalg.norm(G, 2)) for G in self.seed_grams), self.seeds
-        alg, tol = self.alg, self.tol
-        members, grams, norms, units = [], [], [], []
+                float(np.linalg.norm(G, 2)) for G in self.seed_grams), pairs
+        R0 = _right_mults(self.alg, self.tol)
+        norms, units = [], []
 
-        def push(form, G):
+        def fresh(G):
+            """Whether G is nonzero and not yet a direction; if so, record it."""
             gn = float(np.linalg.norm(G, 2))
             if gn <= 1e-14 * max(max(norms, default=0.0), 1.0) or \
-                    _has_direction(units, G / gn, tol):
+                    _has_direction(units, G / gn, self.tol):
                 return False
-            members.append(form)
-            grams.append(G)
             norms.append(gn)
             units.append(G / gn)
             return True
 
-        for phi, G in zip(self.seeds, self.seed_grams):
-            push(phi, G)
-        frontier = self.seeds
+        kept = [(phi, G) for phi, G in pairs if fresh(G)]
+        frontier = pairs
         for _ in range(self.depth):
-            new = []
-            for phi in frontier:
-                for j in range(alg.a0_dim):
-                    tw = twist(phi, alg.a0_basis_element(j), tol)
-                    if push(tw, tw.gram(alg)):
-                        new.append(tw)
-            frontier = new
-        return tuple(members), tuple(grams), tuple(norms), \
-            tuple(frontier) if self.depth > 0 else tuple(members)
+            new = [IpsForm(GRAM, Gt, label=f"{phi.label}^tw")
+                   for phi, G in frontier for Gt in _twisted_grams(G, R0) if fresh(Gt)]
+            frontier = tuple((tw, tw.payload) for tw in new)
+            kept += frontier
+        return tuple(phi for phi, _ in kept), tuple(G for _, G in kept), tuple(norms), \
+            frontier if self.depth > 0 else tuple(kept)
 
     @cached_property
     def nonzero(self):
@@ -583,9 +582,9 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
         worst = ""
         top = max(norms, default=0.0)
         units = ctx.nonzero[1]
-        for phi in ctx.untwisted:
-            for j in range(alg.a0_dim):
-                Gt = twist(phi, alg.a0_basis_element(j), tol).gram(alg)
+        R0 = _right_mults(alg, tol)
+        for phi, G in ctx.untwisted:
+            for j, Gt in enumerate(_twisted_grams(G, R0)):
                 gn = float(np.linalg.norm(Gt, 2))
                 if gn <= 1e-12 * max(top, 1.0):
                     continue

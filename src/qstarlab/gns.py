@@ -27,8 +27,8 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 class GnsRep:
     """A concrete representation: coordinates, action matrices, cyclic vector.
 
-    ``lam`` maps subalgebra coefficients to coordinates; ``section`` is its
-    right inverse.  ``rep_mats[i]`` is the action of the i-th basis element.
+    ``lam`` maps subalgebra coefficients to coordinates, and
+    ``rep_mats[i]`` is the action of the i-th basis element.
     ``residual_lambda`` and ``residual_rep`` record how exactly the extended
     coordinate map and the action matrices satisfy their defining equations;
     both are noise-level for a valid form.
@@ -38,7 +38,6 @@ class GnsRep:
     form: IpsForm
     dim_H: int
     lam: np.ndarray
-    section: np.ndarray
     rep_mats: tuple
     cyclic: np.ndarray
     residual_lambda: float
@@ -98,7 +97,7 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
     sec = quotient_section(G[np.ix_(ix, ix)], tol.rank)
     if not sec.w.size:
         raise ZeroForm("form vanishes on the subalgebra")
-    lam = np.diag(np.sqrt(sec.w)) @ sec.V.conj().T     # r x n0, lam @ section = I
+    lam = np.diag(np.sqrt(sec.w)) @ sec.V.conj().T     # r x n0, lam @ sec.section = I
 
     # GR[k][:, i] pairs a_i x_k against the subalgebra basis; coords[k][:, i]
     # are the coordinates of its class, and cols[i][:, k] regroups them
@@ -116,7 +115,7 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
 
     scale = max(gnorm, 1.0)
     return GnsRep(
-        alg=alg, form=phi, dim_H=int(sec.w.size), lam=lam, section=sec.section,
+        alg=alg, form=phi, dim_H=int(sec.w.size), lam=lam,
         rep_mats=tuple(rep_mats), cyclic=lam @ unit0,
         residual_lambda=res_lambda / scale, residual_rep=res_rep / scale,
     )

@@ -54,17 +54,17 @@ class BoundedFormSet:
 
 def p_upper(F: BoundedFormSet, a: Element) -> float:
     """max over the set of phi(a, a)^(1/2)."""
-    best = 0.0
-    for phi in F.forms:
-        v = phi.eval(a, a).real
-        best = max(best, float(np.sqrt(max(v, 0.0))))
-    return best
+    # homogeneous, like p_lower: evaluated on a / s and scaled back
+    a, s = a.scaled()
+    return s * max((float(np.sqrt(max(phi.eval(a, a).real, 0.0))) for phi in F.forms),
+                   default=0.0)
 
 
 def p_lower(F: BoundedFormSet, a: Element) -> float:
     """max over the set of |phi(a, e)|."""
+    a, s = a.scaled()
     e = a.alg.unit
-    return max((abs(phi.eval(a, e)) for phi in F.forms), default=0.0)
+    return s * max((abs(phi.eval(a, e)) for phi in F.forms), default=0.0)
 
 
 def p_star(F: BoundedFormSet, a: Element) -> float:

@@ -1,10 +1,17 @@
 """Command line surface: exit codes, determinism, argument plumbing."""
 
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+from qstarlab import cli
 
 PY = [sys.executable, "-m", "qstarlab.cli"]
 # the child interpreter finds the package in this checkout, installed or not
@@ -16,6 +23,14 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 def run(*args):
     return subprocess.run(PY + list(args), capture_output=True, text=True,
                           env=ENV, timeout=120)
+
+
+def main(*args):
+    """``cli.main`` in-process, with its exit code and output as ``run`` gives them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def test_validate_bundled_instance():
@@ -65,15 +80,26 @@ def test_bad_element_syntax_is_exit_2():
     assert out.returncode == 2
 
 
-def _bundle_with(tmp_path, entry=None, **fields):
-    """m2_diag's bundle with a basis entry and top-level instance fields replaced."""
-    bundle = json.loads((Path(SRC) / "qstarlab" / "bundled" / "m2_diag.json").read_text())
-    if entry is not None:
-        bundle["instance"]["basis"][1][0][1] = entry
-    bundle["instance"].update(fields)
+BUNDLES = Path(SRC) / "qstarlab" / "bundled"
+
+
+def _m2_diag():
+    return json.loads((BUNDLES / "m2_diag.json").read_text())
+
+
+def _written(tmp_path, bundle):
     path = tmp_path / "m2_diag_edited.json"
     path.write_text(json.dumps(bundle))
     return str(path)
+
+
+def _bundle_with(tmp_path, entry=None, **fields):
+    """m2_diag's bundle with a basis entry and top-level instance fields replaced."""
+    bundle = _m2_diag()
+    if entry is not None:
+        bundle["instance"]["basis"][1][0][1] = entry
+    bundle["instance"].update(fields)
+    return _written(tmp_path, bundle)
 
 
 def _assert_parse_error(out, field):
@@ -113,6 +139,72 @@ def test_boolean_indices_are_exit_2(tmp_path):
                         "a0_indices")
 
 
+def test_families_must_be_an_object(tmp_path):
+    bundle = _m2_diag()
+    bundle["families"] = [1]
+    _assert_field_error(main("validate", _written(tmp_path, bundle)), "families")
+
+
+def test_malformed_twist_depth_is_exit_2(tmp_path):
+    for depth in (None, "x", -1, 1.5, True):
+        bundle = _m2_diag()
+        bundle["families"]["good"]["twist_depth"] = depth
+        _assert_field_error(main("forms", _written(tmp_path, bundle), "--family", "good"),
+                            "twist_depth")
+
+
+def test_vector_state_of_the_wrong_size_is_exit_2(tmp_path):
+    bundle = _m2_diag()
+    bundle["families"]["good"]["generators"][0]["S"] = [[1]]
+    out = main("forms", _written(tmp_path, bundle), "--family", "good")
+    assert out.returncode == 2
+    assert "vector_state payload is 1x1, the instance needs 2x2" in out.stderr
+
+
+_CORRUPTIONS = (None, True, "x", [], {}, -1, 1e6, float("nan"))
+_SUBCOMMANDS = ("validate", "forms", "gns", "cone", "norm", "weakprod", "radical",
+                "topology", "gastar", "all")
+
+
+def _json_paths(node, path=()):
+    """The path to every value below the root of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, val in items:
+        yield path + (key,)
+        yield from _json_paths(val, path + (key,))
+
+
+def test_corrupted_bundles_exit_cleanly(tmp_path):
+    # each case deletes one key or replaces one value of a bundle and runs
+    # one subcommand on it; drawing the depth first reaches the few
+    # structural keys about as often as the many matrix entries
+    rng = random.Random(2304)
+    path = tmp_path / "corrupted.json"
+    for case in range(300):
+        bundle = json.loads(rng.choice(sorted(BUNDLES.glob("*.json"))).read_text())
+        family = rng.choice(sorted(bundle["families"]))
+        by_depth = {}
+        for p in _json_paths(bundle):
+            by_depth.setdefault(len(p), []).append(p)
+        where = rng.choice(by_depth[rng.choice(sorted(by_depth))])
+        parent = functools.reduce(operator.getitem, where[:-1], bundle)
+        if isinstance(parent, dict) and rng.random() < 0.3:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = rng.choice(_CORRUPTIONS)
+        path.write_text(json.dumps(bundle))
+        sub = _SUBCOMMANDS[case % len(_SUBCOMMANDS)]
+        argv = [sub, str(path)]
+        if sub not in ("validate", "all"):
+            argv += ["--family", family]
+        if sub in ("cone", "norm", "topology"):
+            argv += ["--element", "basis:1"]
+        if sub == "weakprod":
+            argv += ["--left", "basis:1", "--right", "basis:1"]
+        assert main(*argv).returncode in (0, 2, 3), (where, argv)
+
+
 def test_non_finite_element_is_exit_2():
     _assert_parse_error(run("norm", "bundled:m2_diag", "--family", "good",
                             "--element", "[NaN,0,0,0]"), "[0]")
@@ -150,6 +242,42 @@ def test_norm_of_tiny_element_does_not_underflow():
 def test_norm_of_huge_element_does_not_overflow():
     # squaring 1e300 overflows, so the routes must work on the scaled element
     assert abs(_norm_value("[1,0,0,1e300]") - 1e300) <= 1e-12 * 1e300
+
+
+def test_seminorms_of_huge_element_do_not_overflow():
+    out = main("topology", "bundled:m2_diag", "--family", "good", "--element", "[1,0,0,1e300]")
+    assert out.returncode == 0
+    assert out.stderr == ""
+    seminorms = json.loads(out.stdout)["seminorms"]
+    for kind in ("upper", "lower", "star"):
+        assert abs(seminorms[kind] - 1e300) <= 1e-12 * 1e300, kind
+
+
+def test_cone_report_is_scale_invariant():
+    # the verdicts and relative fields of a huge element are those of the
+    # same element scaled down; only min_eig scales with it
+    for sign in ("", "-"):
+        reports = []
+        for element in (f"[{sign}1,0,0,1e300]", f"[{sign}1e-300,0,0,1]"):
+            out = main("cone", "bundled:m2_diag", "--family", "good", "--element", element)
+            assert out.returncode == 0
+            assert out.stderr == ""
+            reports.append(json.loads(out.stdout)["report"])
+        huge, small = reports
+        assert huge["member"] == small["member"]
+        for h, s in zip(huge["per_generator"], small["per_generator"], strict=True):
+            assert h["passed"] == s["passed"]
+            for key in ("herm_residual", "relative_margin"):
+                assert abs(h[key] - s[key]) <= 1e-12, key
+            assert abs(h["min_eig"] - 1e300 * s["min_eig"]) <= 1e-12 * abs(h["min_eig"])
+
+
+def test_weakprod_overflow_fails_closed():
+    # the right-hand side overflows to NaN, which must not pass the residual test
+    out = run("weakprod", "bundled:m2_diag", "--family", "good",
+              "--left", "[1,0,0,1e300]", "--right", "[1,0,0,1e300]")
+    assert out.returncode == 3
+    assert json.loads(out.stdout)["error"] == "NotWellDefined"
 
 
 def test_weakprod_cli():

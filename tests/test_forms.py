@@ -204,14 +204,20 @@ def test_validate_family_bundles():
 
 
 def test_twist_stability_twists_only_the_last_round(monkeypatch):
-    # the closure twists both seed directions once; the stability check
-    # twists only the one member the closure added in its last round
+    # the closure twists the seed's Gram by every basis element at once;
+    # the stability check twists only the one member the closure added in
+    # its last round, so re-twisting every member would pass three Grams
     from qstarlab import forms
-    calls = []
-    monkeypatch.setattr(forms, "twist", lambda *a, **k: calls.append(1) or twist(*a, **k))
+    grams = []
+    helper = forms._twisted_grams
+    monkeypatch.setattr(forms, "_twisted_grams", lambda G, R: grams.append(G) or helper(G, R))
     b = load_bundle("m2_diag")
-    rep = validate_family(b["families"]["good"], b["instance"])
-    assert len(calls) == 4
+    fam, inst = b["families"]["good"], b["instance"]
+    rep = validate_family(fam, inst)
+    members, member_grams, _ = fam.context(inst).closure
+    assert len(members) == 2
+    assert len(grams) == 2
+    assert grams[0] is member_grams[0] and grams[1] is member_grams[1]
     stability = next(c for c in rep.checks if c.name == "twist-stability")
     assert stability.passed and stability.note == "closure reproduces itself under basis twists"
 

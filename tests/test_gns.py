@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qstarlab import (IpsForm, NotIps, ZeroForm, build_gns, form_equal,
+from qstarlab import (DEFAULT_TOL, IpsForm, NotIps, ZeroForm, build_gns, form_equal,
                       load_bundle, reconstruction_defect, twist)
+from qstarlab.forms import quotient_section
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +33,10 @@ def test_dimensions_and_residuals(m2, phi):
     assert rep.dim_H == 2
     assert rep.residual_lambda <= 1e-12
     assert rep.residual_rep <= 1e-12
-    # lam and section are mutually inverse on the coordinate space
-    assert np.allclose(rep.lam @ rep.section, np.eye(rep.dim_H))
+    # lam and the quotient section are mutually inverse on the coordinates
+    ix = np.asarray(m2.a0_indices)
+    sec = quotient_section(phi.gram(m2)[np.ix_(ix, ix)], DEFAULT_TOL.rank)
+    assert np.allclose(rep.lam @ sec.section, np.eye(rep.dim_H))
 
 
 def test_reconstruction_is_exact(m2, phi):

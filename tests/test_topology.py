@@ -109,15 +109,15 @@ def test_left_mult_bound_certificate():
 
 
 def test_topology_command_builds_each_gram_once(monkeypatch, capsys):
-    # the multiplication bounds read the closure's Grams and sections from
-    # the family context, so only the closure itself builds Grams
+    # the closure twists Gram matrices and the multiplication bounds read
+    # them from the family context, so only the one seed's Gram is built
     from qstarlab import IpsForm, cli
     calls = []
     gram = IpsForm.gram
     monkeypatch.setattr(IpsForm, "gram", lambda *a: calls.append(1) or gram(*a))
     assert cli.main(["topology", "bundled:m3_pattern", "--family", "good"]) == 0
     assert '"subalgebra_mult_bounds"' in capsys.readouterr().out
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_compare_topologies_weak_vs_strong(F, m2):
