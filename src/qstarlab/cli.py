@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ from .bounded import (cone_membership, cone_witness_element, m_bounded_norm,
                       radical, weak_product)
 from .bundled import bundle_names, load_bundle, parse_payload
 from .errors import ParseError, QStarError
-from .forms import FormFamily, validate_family
+from .forms import FormFamily, _checked_depth, validate_family
 from .gns import reconstruction_defect
 from .lp_model import holder_sup, lp_bounded_norm, weight_ascent_oracle
 from .probes import DEFAULT_SEED, standard_probes
@@ -90,20 +91,17 @@ def _parse_element(alg: QuasiAlgebraInstance, text: str):
 
 
 def _tol(args):
-    overrides = {}
-    if getattr(args, "tol_psd", None) is not None:
-        overrides["psd"] = args.tol_psd
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["rank"] = args.tol_rank
-    if getattr(args, "tol_weak", None) is not None:
-        overrides["weak"] = args.tol_weak
+    given = {"psd": args.tol_psd, "rank": args.tol_rank, "weak": args.tol_weak}
+    overrides = {key: value for key, value in given.items() if value is not None}
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
 
 
 def _at_depth(fam: FormFamily, args) -> FormFamily:
     """The family, rebuilt at the ``--twist-depth`` override if one is given."""
-    depth = getattr(args, "twist_depth", None)
-    return fam if depth is None else FormFamily(fam.seeds, fam.balanced, depth, fam.label)
+    if args.twist_depth is None:
+        return fam
+    depth = _checked_depth(args.twist_depth, "--twist-depth")
+    return FormFamily(fam.seeds, fam.balanced, depth, fam.label)
 
 
 def _load_family(args):
@@ -310,111 +308,99 @@ def _render_text(obj, indent=0, lines=None):
     return lines
 
 
-def _common_flags(parser, trailing: bool) -> None:
-    # registered on the main parser with real defaults and again on every
-    # subparser with suppressed defaults, so the flags work in either position
-    d = argparse.SUPPRESS if trailing else None
-    parser.add_argument("--format", choices=("json", "text"),
-                        default=argparse.SUPPRESS if trailing else "json")
-    parser.add_argument("--tol-psd", type=float, default=d,
-                        help="positivity tolerance override")
-    parser.add_argument("--tol-rank", type=float, default=d,
-                        help="rank cutoff override")
-    parser.add_argument("--tol-weak", type=float, default=d,
-                        help="weak-product residual tolerance override")
-    parser.add_argument("--seed", type=int,
-                        default=argparse.SUPPRESS if trailing else DEFAULT_SEED,
-                        help="seed for probe generation")
-    parser.add_argument("--probes", type=int,
-                        default=argparse.SUPPRESS if trailing else 16,
-                        help="random probe count where probes are used")
-    parser.add_argument("--twist-depth", type=int, default=d,
-                        help="override the twist closure depth of loaded families")
+# values of the common flags when none is given; a value after the
+# subcommand overrides one given before it
+_DEFAULTS = {"format": "json", "tol_psd": None, "tol_rank": None, "tol_weak": None,
+             "seed": DEFAULT_SEED, "probes": 16, "twist_depth": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each shared argument is declared once, on a parent parser.  Parents
+    # share their Action objects with every parser built from them, so the
+    # common flags default to SUPPRESS everywhere and _run() seeds the
+    # namespace from _DEFAULTS; set_defaults would leak between subparsers
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("json", "text"))
+    common.add_argument("--tol-psd", type=float, help="positivity tolerance override")
+    common.add_argument("--tol-rank", type=float, help="rank cutoff override")
+    common.add_argument("--tol-weak", type=float,
+                        help="weak-product residual tolerance override")
+    common.add_argument("--seed", type=int, help="seed for probe generation")
+    common.add_argument("--probes", type=int, help="random probe count where probes are used")
+    common.add_argument("--twist-depth", type=int,
+                        help="override the twist closure depth of loaded families")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("source", help="bundled:<name> or path to instance JSON; "
+                                       f"bundles: {', '.join(bundle_names())}")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", default=None, help="family name inside the source")
+
     parser = argparse.ArgumentParser(
         prog="qstar",
         description="finite-dimensional laboratory for quasi *-algebras "
-                    "with invariant form families")
-    _common_flags(parser, trailing=False)
-
+                    "with invariant form families",
+        parents=[common])
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def cmd(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _common_flags(p, trailing=True)
-        return p
-
-    source_help = f"bundled:<name> or path to instance JSON; bundles: {', '.join(bundle_names())}"
-
-    def add_source(p):
-        p.add_argument("source", help=source_help)
-
-    def add_family(p):
-        p.add_argument("--family", default=None, help="family name inside the source")
-
-    p = cmd("validate", "structural axioms of an instance")
-    add_source(p)
-    p = cmd("forms", "validate a family and its closure")
-    add_source(p); add_family(p)
-    p = cmd("gns", "representation data for the dense seeds")
-    add_source(p); add_family(p)
-    p = cmd("cone", "positive-wedge membership of an element")
-    add_source(p); add_family(p)
-    p.add_argument("--element", required=True)
-    p = cmd("norm", "bounded-element norm by all routes")
-    add_source(p); add_family(p)
-    p.add_argument("--element", required=True)
-    p = cmd("weakprod", "weak product of two elements")
-    add_source(p); add_family(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p = cmd("radical", "joint degeneracy space of a family")
-    add_source(p); add_family(p)
-    p = cmd("topology", "seminorm values and multiplication bounds")
-    add_source(p); add_family(p)
-    p.add_argument("--element", default=None)
-    p = cmd("gastar", "candidate qualification and consequences")
-    add_source(p); add_family(p)
-    p = cmd("lp", "discrete function model: extremal weights")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--exponent", type=float, required=True)
-    p.add_argument("--masses", default=None, help="comma-separated masses")
-    p.add_argument("--values", default=None, help="comma-separated point values")
-    p = cmd("all", "full report over every family in the source")
-    add_source(p)
+    on_source, on_family = [common, source], [common, source, family]
+    p = {name: sub.add_parser(name, help=help_text, parents=parents)
+         for name, parents, help_text in (
+             ("validate", on_source, "structural axioms of an instance"),
+             ("forms", on_family, "validate a family and its closure"),
+             ("gns", on_family, "representation data for the dense seeds"),
+             ("cone", on_family, "positive-wedge membership of an element"),
+             ("norm", on_family, "bounded-element norm by all routes"),
+             ("weakprod", on_family, "weak product of two elements"),
+             ("radical", on_family, "joint degeneracy space of a family"),
+             ("topology", on_family, "seminorm values and multiplication bounds"),
+             ("gastar", on_family, "candidate qualification and consequences"),
+             ("lp", [common], "discrete function model: extremal weights"),
+             ("all", on_source, "full report over every family in the source"))}
+    p["cone"].add_argument("--element", required=True)
+    p["norm"].add_argument("--element", required=True)
+    p["weakprod"].add_argument("--left", required=True)
+    p["weakprod"].add_argument("--right", required=True)
+    p["topology"].add_argument("--element", default=None)
+    p["lp"].add_argument("--points", type=int, required=True)
+    p["lp"].add_argument("--exponent", type=float, required=True)
+    p["lp"].add_argument("--masses", default=None, help="comma-separated masses")
+    p["lp"].add_argument("--values", default=None, help="comma-separated point values")
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    tol = _tol(args)
     started = time.perf_counter()
     try:
-        payload = _HANDLERS[args.cmd](args, tol)
+        payload, code = _HANDLERS[args.cmd](args, _tol(args)), 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QStarError as exc:
-        failure = {"command": args.cmd, "error": type(exc).__name__,
-                   "detail": str(exc)}
-        if args.format == "json":
-            print(dumps(failure))
-        else:
-            print("\n".join(_render_text(failure)))
-        return 3
+        payload, code = {"command": args.cmd, "error": type(exc).__name__,
+                         "detail": str(exc)}, 3
     if args.format == "json":
         print(dumps(payload))
     else:
         lines = _render_text(payload)
-        lines.append(f"wall_ms: {1000.0 * (time.perf_counter() - started):.1f}")
+        if code == 0:
+            lines.append(f"wall_ms: {1000.0 * (time.perf_counter() - started):.1f}")
         print("\n".join(lines))
-    return 0
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # flushed inside the guard, so the flush at exit has nothing left to raise
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: send the rest to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

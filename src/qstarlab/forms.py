@@ -154,13 +154,19 @@ def _twisted_grams(G, R):
     return (T + T.conj().transpose(0, 2, 1)) / 2.0
 
 
+def _right_mult_of(x: Element, tol: ToleranceConfig = DEFAULT_TOL):
+    """R_x, the coefficient matrix of a |-> a.x, contracted from the
+    right-multiplication table; raises NotInA0 when x is outside the subalgebra."""
+    member, c0, res = x.in_a0(tol)
+    if not member:
+        raise NotInA0(f"right factor outside the subalgebra: residual {res:.3e}")
+    return np.tensordot(c0, _right_mults(x.alg, tol), axes=1)
+
+
 def twist(phi: IpsForm, x: Element, tol: ToleranceConfig = DEFAULT_TOL) -> IpsForm:
     """The twisted form phi^x(a, b) = phi(a.x, b.x) for x in the subalgebra,
     as a Gram-kind form."""
-    member, c0, res = x.in_a0(tol)
-    if not member:
-        raise NotInA0(f"twist element outside the subalgebra: residual {res:.3e}")
-    R = np.tensordot(c0, _right_mults(x.alg, tol), axes=1)
+    R = _right_mult_of(x, tol)
     return IpsForm(GRAM, _twisted_grams(phi.gram(x.alg), R[None])[0], label=f"{phi.label}^tw")
 
 
@@ -315,6 +321,14 @@ def _dense(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig) -> bool:
     return full == sub
 
 
+def _checked_depth(depth, source):
+    """``depth`` if it is a non-negative integer, else a ParseError naming ``source``."""
+    if not _is_int(depth) or depth < 0:
+        raise ParseError(source, f"twist_depth must be a non-negative integer, got {depth!r}",
+                         field="twist_depth")
+    return depth
+
+
 class FormFamily:
     """A finite family of forms with a twist-closure policy.
 
@@ -374,11 +388,8 @@ class FormFamily:
             if phi.label == phi.kind:
                 phi = IpsForm(phi.kind, phi.payload, label=f"phi{i}")
             gens.append(phi)
-        depth = payload.get("twist_depth", 1)
-        if not _is_int(depth) or depth < 0:
-            raise ParseError(source, f"twist_depth must be a non-negative integer, got {depth!r}",
-                             field="twist_depth")
-        return cls(gens, balanced=bool(payload.get("balanced", False)), twist_depth=depth,
+        return cls(gens, balanced=bool(payload.get("balanced", False)),
+                   twist_depth=_checked_depth(payload.get("twist_depth", 1), source),
                    label=str(payload.get("label", "family")))
 
     def as_jsonable(self):

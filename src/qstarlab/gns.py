@@ -45,16 +45,9 @@ class GnsRep:
 
     def lambda_vec(self, a: Element) -> np.ndarray:
         """Coordinates of the class of any algebra element."""
-        vec, _ = self._lambda_with_residual(a.coeffs)
-        return vec
-
-    def _lambda_with_residual(self, coeffs):
-        G = self.form.gram(self.alg)
-        g = (G @ coeffs)[np.asarray(self.alg.a0_indices)]
-        # lam^H t = g; lam^H has full column rank so lstsq is exact on
-        # consistent data and the residual measures inconsistency
-        t = np.linalg.lstsq(self.lam.conj().T, g, rcond=None)[0]
-        return t, float(np.linalg.norm(self.lam.conj().T @ t - g))
+        g = (self.form.gram(self.alg) @ a.coeffs)[np.asarray(self.alg.a0_indices)]
+        # lam^H t = g; lam^H has full column rank, so lstsq is exact on consistent data
+        return np.linalg.lstsq(self.lam.conj().T, g, rcond=None)[0]
 
     def rep_matrix(self, a: Element) -> np.ndarray:
         """Action of ``a`` on the coordinate space."""

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import Element, QuasiAlgebraInstance
 from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norm
 from .errors import EmptyFamily, NotIps, NotSufficient
-from .forms import FormFamily, twist
+from .forms import FormFamily, _right_mult_of, twist
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -109,9 +109,10 @@ def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
     even finite constant when individual members do not.  Per form this
     is a generalized Rayleigh problem for the right action of x on the
     essential range of the Gram matrix; any mass pushed out of a member's
-    null space makes the bound infinite.
+    null space makes the bound infinite.  Raises NotInA0 when x is outside
+    the subalgebra, where a.x need not stay in the span.
     """
-    R, _ = alg.right_mult_matrix(x.matrix)
+    R = _right_mult_of(x, tol)
     slack = tol.psd * max(1.0, float(np.linalg.norm(R, 2)) ** 2)
     ctx = family.context(alg, tol)
     worst = 0.0

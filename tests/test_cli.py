@@ -1,5 +1,6 @@
 """Command line surface: exit codes, determinism, argument plumbing."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -47,6 +48,10 @@ def test_json_output_is_byte_identical():
     assert a.stdout == b.stdout
 
 
+def _parsed(*args):
+    return vars(cli.build_parser().parse_args(list(args), argparse.Namespace(**cli._DEFAULTS)))
+
+
 def test_global_flags_accepted_in_both_positions():
     before = run("--format", "json", "norm", "bundled:m2_diag",
                  "--family", "good", "--element", "basis:1")
@@ -54,6 +59,25 @@ def test_global_flags_accepted_in_both_positions():
                 "--element", "basis:1", "--format", "json")
     assert before.returncode == after.returncode == 0
     assert json.loads(before.stdout) == json.loads(after.stdout)
+
+    # non-default values: a leading flag must survive the subcommand's parse
+    flags = ("--seed", "7", "--probes", "4")
+    cmd = ("topology", "bundled:m2_full", "--family", "trace")
+    leading, trailing = _parsed(*flags, *cmd), _parsed(*cmd, *flags)
+    assert leading == trailing
+    assert (leading["seed"], leading["probes"]) == (7, 4)
+    assert main(*flags, *cmd).stdout == main(*cmd, *flags).stdout
+    assert main(*flags, *cmd).stdout != main(*cmd).stdout
+
+    # given in both positions, the trailing value wins
+    assert _parsed("--seed", "3", *cmd, "--seed", "5")["seed"] == 5
+    assert _parsed("--format", "text", "validate", "bundled:m2_diag",
+                   "--format", "json")["format"] == "json"
+
+    text = main("--format", "text", "validate", "bundled:m2_diag")
+    assert text.returncode == 0
+    assert "wall_ms" in text.stdout
+    assert not text.stdout.lstrip().startswith("{")
 
 
 def test_text_format_renders():
@@ -151,6 +175,17 @@ def test_malformed_twist_depth_is_exit_2(tmp_path):
         bundle["families"]["good"]["twist_depth"] = depth
         _assert_field_error(main("forms", _written(tmp_path, bundle), "--family", "good"),
                             "twist_depth")
+
+
+def test_negative_twist_depth_flag_is_exit_2():
+    for args in (("forms", "bundled:m2_diag", "--family", "good", "--twist-depth", "-1"),
+                 ("--twist-depth", "-1", "forms", "bundled:m2_diag", "--family", "good"),
+                 ("--twist-depth", "-3", "all", "bundled:m2_diag"),
+                 ("all", "bundled:m2_diag", "--twist-depth", "-3")):
+        out = main(*args)
+        _assert_field_error(out, "twist_depth")
+        assert out.stderr.startswith("error: ")
+        assert out.stdout == ""
 
 
 def test_vector_state_of_the_wrong_size_is_exit_2(tmp_path):
@@ -353,6 +388,25 @@ def test_topology_defaults_to_unit():
     assert abs(sem["star"] - sem["upper"]) < 1e-9   # unit is Hermitian
     assert abs(sem["lower"] - sem["upper"] ** 2) < 1e-9  # e weakly squares to e
     assert payload["element"] == "e"
+
+
+def test_closed_pipe_ends_quietly():
+    # the read end closes while the child is still importing numpy, so
+    # every write the child makes meets a broken pipe.  stdout is block
+    # buffered, as in a shell pipeline, so the output is still buffered
+    # when main() returns unless main() flushes it
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    for args in (["forms", "bundled:m2_diag", "--family", "good"], ["--help"]):
+        child = subprocess.Popen(PY + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=env)
+        child.stdout.close()
+        try:
+            err = child.stderr.read().decode()
+        finally:
+            child.stderr.close()
+            child.wait(timeout=120)
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
 
 def test_twist_depth_override_builds_a_shallower_family():

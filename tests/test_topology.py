@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qstarlab import (BoundedFormSet, FormFamily, compare_topologies,
+from qstarlab import (BoundedFormSet, FormFamily, NotInA0, compare_topologies,
                       ga_star_check, gamma, left_mult_bound, load_bundle,
                       module_product, p_lower, p_star, p_upper, seminorm_eval,
                       twisted_set, weak_product)
@@ -88,6 +88,17 @@ def test_left_mult_bounds(good, m2):
     # the second diagonal unit pushes mass into the null space of the
     # rank-one seed, so no finite constant works
     assert left_mult_bound(good, m2.basis_element(3), m2) == float("inf")
+
+
+def test_left_mult_bound_rejects_elements_outside_a0():
+    # a.x for these x leaves the span, so no multiplication bound exists
+    bundle = load_bundle("m3_pattern")
+    inst, fam = bundle["instance"], bundle["families"]["good"]
+    for k in (3, 4):
+        x = inst.basis_element(k)
+        assert not x.in_a0()[0]
+        with pytest.raises(NotInA0):
+            left_mult_bound(fam, x, inst)
 
 
 def test_left_mult_bound_certificate():
