@@ -14,7 +14,7 @@ from .errors import (AmbiguousProduct, BadExponent, BadMeasure,
                      CharacterizationMismatch, ClosureViolation, DependentBasis,
                      EmptyFamily, FamilyNotBalanced, MissingUnit, NotInA0,
                      NotIps, NotSufficient, NotWellDefined, ParseError,
-                     QStarError, ZeroForm, ZeroFunction)
+                     ProductOverflow, QStarError, ZeroForm, ZeroFunction)
 from .forms import (FamilyReport, FormFamily, FormReport, IpsForm,
                     SufficiencyReport, check_sufficiency, degeneracy_residuals,
                     form_equal, form_proportional, invariance_residual,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import Element, QuasiAlgebraInstance
 from .errors import (AmbiguousProduct, CharacterizationMismatch, FamilyNotBalanced,
-                     NotSufficient, NotWellDefined)
+                     NotSufficient, NotWellDefined, ProductOverflow)
 from .forms import FormFamily, _right_mults
 from .report import CheckResult
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -252,7 +252,8 @@ def weak_product(a: Element, b: Element, family: FormFamily, alg: QuasiAlgebraIn
     Rank deficiency of the system raises ``AmbiguousProduct`` before any
     residual is inspected, because a least-squares solution would silently
     pick one representative of a coset.  An inconsistent system raises
-    ``NotWellDefined``.  Returns ``(element, report)``.
+    ``NotWellDefined``, a product beyond the float range ``ProductOverflow``.
+    Returns ``(element, report)``.
     """
     ctx = family.context(alg, tol)
     M, U, s, Vh = ctx.weak_system
@@ -262,20 +263,26 @@ def weak_product(a: Element, b: Element, family: FormFamily, alg: QuasiAlgebraIn
         _, _, Vh = np.linalg.svd(M)
         raise AmbiguousProduct(Vh.conj().T[:, -1])
 
+    # bilinear in (a*, b): solve on both scaled by 2^-k to largest parts in [1/2, 1)
+    parts = [x.coeffs.view(float) for x in (a.star(), b)]
+    k = [int(np.frexp(np.abs(x).max(initial=0.0))[1]) for x in parts]
     # right-hand side (member, j, k): phi(b.x_j, a*.x_k) / |phi|
     R0 = _right_mults(alg, tol)
-    AS = R0 @ a.star().coeffs
-    BX = R0 @ b.coeffs
+    AS, BX = (R0 @ np.ldexp(x, -kx).view(complex) for x, kx in zip(parts, k))
     labels, units = ctx.nonzero
     r = (AS.conj() @ units @ BX.T).transpose(0, 2, 1).reshape(-1)
     c = Vh.conj().T @ ((U.conj().T @ r) / s)
     resid = float(np.linalg.norm(M @ c - r))
     rnorm = float(np.linalg.norm(r))
+    with np.errstate(over="ignore"):
+        c, back = np.ldexp(c.view(float), sum(k)).view(complex), np.ldexp([resid, rnorm], sum(k))
     # written so that a NaN residual fails too
     if not resid <= tol.weak * max(rnorm, 1e-300):
-        raise NotWellDefined(resid, rnorm)
+        raise NotWellDefined(*back)
+    if not (np.isfinite(c).all() and np.isfinite(back).all()):
+        raise ProductOverflow(f"weak product overflows the float range: scale 2^{sum(k)}")
     report = WeakProductReport(
-        residual=resid, rhs_norm=rnorm, sigma_min=smin, sigma_max=smax,
+        residual=float(back[0]), rhs_norm=float(back[1]), sigma_min=smin, sigma_max=smax,
         n_rows=M.shape[0], forms_used=list(labels))
     return alg.element(c), report
 

@@ -100,8 +100,7 @@ def _at_depth(fam: FormFamily, args) -> FormFamily:
     """The family, rebuilt at the ``--twist-depth`` override if one is given."""
     if args.twist_depth is None:
         return fam
-    depth = _checked_depth(args.twist_depth, "--twist-depth")
-    return FormFamily(fam.seeds, fam.balanced, depth, fam.label)
+    return FormFamily(fam.seeds, fam.balanced, args.twist_depth, fam.label)
 
 
 def _load_family(args):
@@ -370,11 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
+        if args.twist_depth is not None:
+            _checked_depth(args.twist_depth, "--twist-depth")
+        started = time.perf_counter()
+        payload, code = _HANDLERS[args.cmd](args, _tol(args)), 0
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    started = time.perf_counter()
-    try:
-        payload, code = _HANDLERS[args.cmd](args, _tol(args)), 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

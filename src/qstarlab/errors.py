@@ -83,6 +83,10 @@ class NotWellDefined(QStarError):
         )
 
 
+class ProductOverflow(QStarError):
+    """The weak product exists, but its coefficients exceed the float range."""
+
+
 class AmbiguousProduct(QStarError):
     """The weak product system has a nontrivial null space.
 

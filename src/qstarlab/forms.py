@@ -17,6 +17,11 @@ matrix of right multiplication by x; a twist is therefore Gram-kind,
 whatever the kind of phi.  A family is balanced when it is closed under
 basis twists, and its closure members other than the seeds are Gram-kind.
 
+The closure and its twist-stability check sort twisted Grams into zero, known
+and new directions from |D|_F / sqrt(d) <= |D|_2 <= |D|_F (Golub & Van Loan,
+2.3), certifying a direction by 2e <= tol.form (a - e) (see ``_classify``), and
+take a spectral norm only for a member kept or where that is inconclusive.
+
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
 when either changes; nothing needs clearing by hand.
@@ -125,15 +130,34 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
     at a different overall scale; every consumer either normalizes per
     form or is scale covariant, so closures treat multiples as duplicates."""
     Gp, Gq = phi.gram(alg), psi.gram(alg)
-    np_, nq = float(np.linalg.norm(Gp, 2)), float(np.linalg.norm(Gq, 2))
-    if np_ == 0.0 or nq == 0.0:
-        return np_ == nq
-    return _has_direction([Gq / nq], Gp / np_, tol)
+    nq = float(np.linalg.norm(Gq, 2))
+    return _classify(Gp, (Gq / nq)[None], 0.0, tol) == "known" if nq else not Gp.any()
 
 
-def _has_direction(units, U, tol: ToleranceConfig) -> bool:
-    """Whether the unit-norm Gram matrix U is one of ``units`` within tol.form."""
-    return any(float(np.linalg.norm(U - K, 2)) <= tol.form for K in units)
+def _classify(G, units, floor: float, tol: ToleranceConfig):
+    """"zero" if |G|_2 <= floor, "known" if |G/|G|_2 - K|_2 <= tol.form for a
+    K of the stack ``units`` (each with |K|_2 = 1), else the exact |G|_2.
+
+    Decided on G scaled to unit largest part.  Zero: |G|_F <= floor certifies
+    it and |G|_F / sqrt(d) > floor rules it out.  Direction: with a = <G, K>_F
+    / |K|_F^2 and e = |G - aK|_F, ||G|_2 - a| <= |G - aK|_2 <= e, so
+    |G/|G|_2 - K|_2 <= 2e / (a - e) and 2e <= tol.form (a - e) certifies K;
+    as |G|_2 <= |G|_F, e > sqrt(d) tol.form |G|_F rules K out.  A spectral
+    norm is taken only between those tests and for a new direction."""
+    parts, rd = np.ravel(G).view(float), np.sqrt(len(G))
+    s = float(np.abs(parts).max(initial=0.0)) or 1.0
+    g = parts / s
+    f = float(np.sqrt(g @ g))
+    if s * f <= floor or (s * f <= rd * floor and float(np.linalg.norm(G, 2)) <= floor):
+        return "zero"
+    K = units.reshape(len(units), G.size).view(float)
+    a = (K @ g) / np.einsum("ij,ij->i", K, K)
+    e = np.linalg.norm(g - a[:, None] * K, axis=1)
+    if np.any(2.0 * e <= tol.form * (a - e)):
+        return "known"
+    gn = float(np.linalg.norm(G, 2))
+    near = units[e <= rd * tol.form * f]
+    return "known" if any(float(np.linalg.norm(G / gn - U, 2)) <= tol.form for U in near) else gn
 
 
 def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
@@ -195,14 +219,14 @@ class FormReport:
         }
 
 
-def _psd_margins(mat, tol: ToleranceConfig):
-    """Return (hermiticity residual, min eig, max |eig|) of a square matrix."""
-    scale = max(float(np.linalg.norm(mat, 2)), 1e-300)
-    herm_res = float(np.linalg.norm(mat - mat.conj().T, 2)) / scale
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    wmax = float(np.abs(w).max(initial=0.0))
-    wmin = float(w.min()) if w.size else 0.0
-    return herm_res, wmin, wmax
+def _psd_margins(mats):
+    """Per matrix of a stack: (hermiticity residual, min eig, max |eig|).  The
+    residual is relative to the spectral norm, taken only off exact symmetry."""
+    skew = mats - mats.conj().transpose(0, 2, 1)
+    herm = [float(np.linalg.norm(D, 2)) / max(float(np.linalg.norm(M, 2)), 1e-300)
+            if D.any() else 0.0 for M, D in zip(mats, skew)]
+    w = np.linalg.eigvalsh((mats + mats.conj().transpose(0, 2, 1)) / 2.0)
+    return np.array(herm), w.min(axis=1, initial=np.inf), np.abs(w).max(axis=1, initial=0.0)
 
 
 def _rank(psd_mat, rank_tol):
@@ -260,17 +284,24 @@ def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
     Returns ``(residual, scale)``; the identity is required of every stored
     form and is what lets representation matrices act on the quotient.
     """
-    G = phi.gram(alg)
+    worst, scale = _invariance_residuals(phi.gram(alg)[None], alg, tol)
+    return float(worst[0]), float(scale[0])
+
+
+def _invariance_residuals(grams, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``invariance_residual`` of each Hermitian Gram of a stack, as arrays."""
     R0 = _right_mults(alg, tol)
     Sstar, _ = alg.star_matrix()
     ix = np.asarray(alg.a0_indices)
-    # lhs[j, k, i] = phi(a_i x_j, x_k) and rhs[j, k, i] = phi(x_j, a_i^H x_k)
-    lhs = G[ix, :] @ R0
-    rhs = (Sstar.conj().T @ (R0.conj().transpose(0, 2, 1) @ G[:, ix])).transpose(2, 0, 1)
-    worst = float(np.abs(lhs - rhs).max(initial=0.0))
+    P = Sstar.conj().T @ R0.conj().transpose(0, 2, 1)
+    # lhs[j, k, i] = phi(a_i x_j, x_k) and rhs[j, k, i] = phi(x_j, a_i^H x_k), one Gram
+    # at a time: the whole stack's arrays would set the process's peak memory
+    worst = [np.abs(G[ix, :] @ R0 - (P @ G[:, ix]).transpose(2, 0, 1)).max(initial=0.0)
+             for G in grams]
     bnorm = max(float(np.linalg.norm(b)) for b in alg.basis)
-    scale = (1.0 + float(np.linalg.norm(G, 2))) * (1.0 + bnorm) ** 2
-    return worst, scale
+    # a Hermitian matrix's spectral norm is its largest |eigenvalue|
+    top = np.abs(np.linalg.eigvalsh(grams)).max(axis=1, initial=0.0)
+    return np.array(worst), (1.0 + top) * (1.0 + bnorm) ** 2
 
 
 def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
@@ -284,7 +315,7 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
     """
     report = FormReport(label=phi.label, kind=phi.kind)
 
-    herm_res, wmin, wmax = _psd_margins(phi.payload, tol)
+    herm_res, wmin, wmax = (float(v[0]) for v in _psd_margins(phi.payload[None]))
     report.checks.append(CheckResult(
         "payload-hermitian", herm_res <= tol.psd, {"residual": herm_res}))
     margin = wmin / wmax if wmax > 0 else 0.0
@@ -442,16 +473,16 @@ class FamilyContext:
             return self.seeds, self.seed_grams, tuple(
                 float(np.linalg.norm(G, 2)) for G in self.seed_grams), pairs
         R0 = _right_mults(self.alg, self.tol)
-        norms, units = [], []
+        norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
 
         def fresh(G):
             """Whether G is nonzero and not yet a direction; if so, record it."""
-            gn = float(np.linalg.norm(G, 2))
-            if gn <= 1e-14 * max(max(norms, default=0.0), 1.0) or \
-                    _has_direction(units, G / gn, self.tol):
+            nonlocal units
+            gn = _classify(G, units, 1e-14 * max(max(norms, default=0.0), 1.0), self.tol)
+            if isinstance(gn, str):
                 return False
             norms.append(gn)
-            units.append(G / gn)
+            units = np.concatenate([units, (G / gn)[None]])
             return True
 
         kept = [(phi, G) for phi, G in pairs if fresh(G)]
@@ -573,39 +604,28 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     members, grams, norms = ctx.closure
     report.closure_size = len(members)
 
-    worst_pos = 0.0
-    worst_inv = 0.0
     seed_ids = {id(s) for s in family.seeds}
-    for phi, G in zip(members, grams):
-        if id(phi) in seed_ids:
-            continue
-        herm_res, wmin, wmax = _psd_margins(G, tol)
-        worst_pos = max(worst_pos, herm_res, -wmin / max(wmax, 1e-300))
-        inv_res, inv_scale = invariance_residual(phi, alg, tol)
-        worst_inv = max(worst_inv, inv_res / inv_scale)
+    derived = np.array([G for phi, G in zip(members, grams) if id(phi) not in seed_ids],
+                       dtype=complex).reshape(-1, alg.dim, alg.dim)
+    herm_res, wmin, wmax = _psd_margins(derived)
+    worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
+    inv_res, inv_scale = _invariance_residuals(derived, alg, tol)
+    worst_inv = float(np.max(inv_res / inv_scale, initial=0.0))
     report.checks.append(CheckResult(
         "closure-positivity", worst_pos <= tol.psd, {"worst_relative_defect": worst_pos}))
     report.checks.append(CheckResult(
         "closure-invariance", worst_inv <= tol.form, {"worst_relative_residual": worst_inv}))
 
     if family.balanced:
-        stable = True
-        worst = ""
-        top = max(norms, default=0.0)
-        units = ctx.nonzero[1]
+        # the twists that are neither zero nor a direction of the closure
+        floor, units = 1e-12 * max(max(norms, default=0.0), 1.0), ctx.nonzero[1]
         R0 = _right_mults(alg, tol)
-        for phi, G in ctx.untwisted:
-            for j, Gt in enumerate(_twisted_grams(G, R0)):
-                gn = float(np.linalg.norm(Gt, 2))
-                if gn <= 1e-12 * max(top, 1.0):
-                    continue
-                if not _has_direction(units, Gt / gn, tol):
-                    stable = False
-                    worst = f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
+        new = [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
+               for phi, G in ctx.untwisted for j, Gt in enumerate(_twisted_grams(G, R0))
+               if not isinstance(_classify(Gt, units, floor, tol), str)]
         report.checks.append(CheckResult(
-            "twist-stability", stable,
-            {"closure_size": len(members)},
-            note=worst or "closure reproduces itself under basis twists"))
+            "twist-stability", not new, {"closure_size": len(members)},
+            note=new[-1] if new else "closure reproduces itself under basis twists"))
     return report
 
 
@@ -653,20 +673,18 @@ def degeneracy_residuals(a: Element, family: FormFamily, alg: QuasiAlgebraInstan
     first three agree for any family; the fourth joins only under the
     balanced closure policy with a unit.
     """
-    members, grams, norms = family.context(alg, tol).closure
+    _, grams, norms = family.context(alg, tol).closure
+    G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
     R0 = _right_mults(alg, tol)
     ix = np.asarray(alg.a0_indices)
     AX = (R0 @ a.coeffs).T
-    r1 = r2 = r3 = r4 = 0.0
-    for phi, G in zip(members, grams):
-        Q = (G @ AX)[ix, :]
-        H = (Q + Q.conj().T) / 2.0
-        K = (Q - Q.conj().T) / 2.0
-        r1 = max(r1, float(np.linalg.norm(H, 2)), float(np.linalg.norm(K, 2)))
-        r2 = max(r2, float(np.abs(Q).max(initial=0.0)))
-        diag = np.einsum("ji,jk,ki->i", AX.conj(), G, AX).real
-        r3 = max(r3, float(diag.max(initial=0.0)))
-        r4 = max(r4, float(phi.eval(a, a).real))
+    GAX = G @ AX
+    Q = GAX[:, ix, :]
+    QH = Q.conj().transpose(0, 2, 1)
+    r1 = float(np.linalg.norm(np.concatenate([Q + QH, Q - QH]) / 2.0, 2, axis=(1, 2)).max(initial=0.0))
+    r2 = float(np.abs(Q).max(initial=0.0))
+    r3 = float((AX.conj() * GAX).sum(axis=1).real.max(initial=0.0))
+    r4 = float((G @ a.coeffs @ a.coeffs.conj()).real.max(initial=0.0))
     scale = (1.0 + max(norms, default=0.0)) * (1.0 + a.norm_frobenius()) ** 2
     return {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "scale": scale}
 

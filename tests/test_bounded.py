@@ -6,7 +6,7 @@ import pytest
 from corpus import make_corpus
 from qstarlab import (AmbiguousProduct, CharacterizationMismatch,
                       FamilyNotBalanced, GnsRep, NotSufficient,
-                      NotWellDefined, build_gns, check_condition_product,
+                      NotWellDefined, ProductOverflow, build_gns, check_condition_product,
                       cone_intersection_null, cone_membership,
                       cone_witness_element, extract_bounded_algebra,
                       load_bundle, m_bounded_norm, radical,
@@ -151,6 +151,29 @@ def test_product_against_unit_is_identity(m2, good):
     right, _ = weak_product(m2.unit, a, good, m2)
     assert np.allclose(left.coeffs, a.coeffs, atol=1e-9)
     assert np.allclose(right.coeffs, a.coeffs, atol=1e-9)
+
+
+def test_weak_product_is_scale_covariant_at_extreme_scales(m2, good):
+    a, b = _rand_elem(m2, 21), _rand_elem(m2, 22)
+    ref, ref_rep = weak_product(a, b, good, m2)
+    for s in (1e300, 1e-200):
+        for left, right in ((s * a.coeffs, b.coeffs), (a.coeffs, s * b.coeffs)):
+            c, rep = weak_product(m2.element(left), m2.element(right), good, m2)
+            assert np.allclose(c.coeffs, s * ref.coeffs, rtol=1e-12, atol=0.0), s
+            assert rep.rhs_norm == pytest.approx(s * ref_rep.rhs_norm, rel=1e-12)
+    # scaling by a power of two is exact, so the coefficients are too
+    c, _ = weak_product(m2.element(np.ldexp(a.coeffs.view(float), 60).view(complex)), b, good, m2)
+    assert np.array_equal(c.coeffs.view(float), np.ldexp(ref.coeffs.view(float), 60))
+
+
+def test_weak_product_overflow_is_typed(m2, good):
+    huge = m2.element([1, 0, 0, 1e300])
+    with pytest.raises(ProductOverflow, match="overflows"):
+        weak_product(huge, huge, good, m2)
+    # a product below the float range underflows to zero; that is no error
+    tiny = m2.element([1e-200, 0, 0, 0])
+    c, _ = weak_product(tiny, tiny, good, m2)
+    assert not c.coeffs.any()
 
 
 def test_adjoint_law(m2, good):

@@ -181,7 +181,9 @@ def test_negative_twist_depth_flag_is_exit_2():
     for args in (("forms", "bundled:m2_diag", "--family", "good", "--twist-depth", "-1"),
                  ("--twist-depth", "-1", "forms", "bundled:m2_diag", "--family", "good"),
                  ("--twist-depth", "-3", "all", "bundled:m2_diag"),
-                 ("all", "bundled:m2_diag", "--twist-depth", "-3")):
+                 ("all", "bundled:m2_diag", "--twist-depth", "-3"),
+                 ("validate", "bundled:m2_diag", "--twist-depth", "-1"),
+                 ("lp", "--points", "2", "--exponent", "4", "--twist-depth", "-5")):
         out = main(*args)
         _assert_field_error(out, "twist_depth")
         assert out.stderr.startswith("error: ")
@@ -308,11 +310,15 @@ def test_cone_report_is_scale_invariant():
 
 
 def test_weakprod_overflow_fails_closed():
-    # the right-hand side overflows to NaN, which must not pass the residual test
+    # the product exists but is of order 1e600: a typed overflow, not an
+    # inconsistent system, and no numpy warning on stderr
     out = run("weakprod", "bundled:m2_diag", "--family", "good",
               "--left", "[1,0,0,1e300]", "--right", "[1,0,0,1e300]")
     assert out.returncode == 3
-    assert json.loads(out.stdout)["error"] == "NotWellDefined"
+    assert out.stderr == ""
+    payload = json.loads(out.stdout)
+    assert payload["error"] == "ProductOverflow"
+    assert "overflows" in payload["detail"]
 
 
 def test_weakprod_cli():

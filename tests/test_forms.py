@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, ClosureViolation, EmptyFamily, FormFamily,
                       IpsForm, NotInA0, NotIps, ParseError,
                       QuasiAlgebraInstance, check_sufficiency, form_equal,
                       form_proportional, invariance_residual, is_dense,
                       load_bundle, twist, validate_family, validate_ips_form)
+from qstarlab.report import dumps
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +222,91 @@ def test_twist_stability_twists_only_the_last_round(monkeypatch):
     assert grams[0] is member_grams[0] and grams[1] is member_grams[1]
     stability = next(c for c in rep.checks if c.name == "twist-stability")
     assert stability.passed and stability.note == "closure reproduces itself under basis twists"
+
+
+def test_twist_stability_fails_on_an_unclosed_family():
+    # at depth 0 the closure is the seeds alone; a seed with a twist in a
+    # new direction must fail the check, and the note names the twist
+    cases = {("m2_diag", "good"): "xi11 twisted by basis index 3",
+             ("m3_pattern", "good"): "xi111 twisted by basis index 2",
+             ("m2_full", "trace"): "halftrace twisted by basis index 3",
+             ("m2_full", "rank1"): "xi11 twisted by basis index 3",
+             ("m2_diag", "bad"): None}
+    for (name, label), note in cases.items():
+        b = load_bundle(name)
+        fam = FormFamily(b["families"][label].seeds, balanced=True, twist_depth=0)
+        rep = validate_family(fam, b["instance"])
+        stability = next(c for c in rep.checks if c.name == "twist-stability")
+        assert stability.passed == (note is None), (name, label)
+        assert stability.note == (note or "closure reproduces itself under basis twists")
+
+
+def _unit_gram(rng, d, rank):
+    X = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    P = X @ X.conj().T
+    return P / np.linalg.norm(P, 2)
+
+
+def test_classify_agrees_with_the_spectral_definition():
+    # perturbations at spectral distances around tol.form, at scales from
+    # 1e-150 to 1e150: the Frobenius certificate and the exact band must
+    # reproduce |G/|G|_2 - K|_2 <= tol.form away from the boundary itself
+    from qstarlab.forms import _classify
+    rng = np.random.default_rng(17)
+    tol = DEFAULT_TOL
+    checked = 0
+    for d in (3, 8, 16):
+        empty = np.empty((0, d, d), dtype=complex)
+        assert _classify(np.zeros((d, d), dtype=complex), empty, 0.0, tol) == "zero"
+        for trial in range(6):
+            units = np.stack([_unit_gram(rng, d, 1 + (trial + k) % d) for k in range(3)])
+            for t in (0.0, 0.5, 0.9, 1.1, 2.0):
+                E = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                E = E + E.conj().T
+                U = units[trial % 3] + t * tol.form * E / np.linalg.norm(E, 2)
+                for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+                    G = scale * U
+                    gn = np.linalg.norm(G, 2)
+                    dist = min(np.linalg.norm(G / gn - K, 2) for K in units) / tol.form
+                    if abs(dist - 1.0) <= 1e-6:
+                        continue
+                    got = _classify(G, units, 0.0, tol)
+                    assert got == ("known" if dist <= 1.0 else gn), (d, trial, t, scale)
+                    assert _classify(G, empty, 0.0, tol) == gn
+                    assert _classify(G, units, 2.0 * gn, tol) == "zero"
+                    if dist > 1.0:
+                        assert _classify(G, units, 0.5 * gn, tol) == gn
+                    checked += 1
+    assert checked == 3 * 6 * 5 * 5
+
+
+def test_family_validation_takes_one_spectral_norm_per_member(monkeypatch):
+    # closure building, member validation and the stability check decide
+    # from Frobenius norms; only a member the closure keeps needs |G|_2
+    inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        monkeypatch.setattr(module, "svd", counted)
+    rep = validate_family(fam, inst)
+    assert rep.accepted
+    assert count[0] <= rep.closure_size
+
+
+def test_family_reports_ignore_the_global_random_state():
+    out = []
+    for state in (1, 2):
+        inst, fam = make_corpus(count=2, seed=8, n_min=8, n_max=8)[1]
+        np.random.seed(state)
+        np.random.standard_normal(100)
+        out.append(dumps([validate_family(fam, inst).as_dict(),
+                          check_sufficiency(fam, inst).as_dict()]))
+    assert out[0] == out[1]
 
 
 def test_family_json_round_trip(m2, good):
