@@ -7,8 +7,8 @@ from .algebra import (Element, QuasiAlgebraInstance, ValidationReport,
 from .bounded import (ConeReport, NormReport, RadicalReport, WeakProductReport,
                       check_condition_product, cone_intersection_null,
                       cone_membership, cone_witness_element,
-                      extract_bounded_algebra, m_bounded_norm, radical,
-                      weak_product)
+                      extract_bounded_algebra, m_bounded_norm, m_bounded_norms,
+                      radical, weak_product, weak_products)
 from .bundled import bundle_names, load_bundle
 from .errors import (AmbiguousProduct, BadExponent, BadMeasure,
                      CharacterizationMismatch, ClosureViolation, DependentBasis,
@@ -27,7 +27,7 @@ from .probes import standard_probes
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .topology import (BoundedFormSet, GaStarReport, compare_topologies, gamma,
                        ga_star_check, left_mult_bound, p_lower, p_star, p_upper,
-                       seminorm_eval, twisted_set)
+                       seminorm_eval, seminorms, twisted_set)
 
 __version__ = "0.1.0"
 

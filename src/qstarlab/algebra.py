@@ -246,6 +246,26 @@ class QuasiAlgebraInstance:
         }
 
 
+def scaled_rows(C):
+    """``(C / s, s)``, s holding each row's largest real or imaginary part
+    (1 for a zero row), for homogeneous quantities that would underflow or
+    overflow on the rows themselves.  Unlike |coeff|, s cannot overflow; the
+    parts are divided as reals, since complex division by a subnormal can."""
+    parts = np.ascontiguousarray(C, dtype=complex).view(float)
+    s = np.abs(parts).max(axis=1, initial=0.0)
+    s[s == 0.0] = 1.0
+    with np.errstate(invalid="ignore"):
+        return (parts / s[:, None]).view(complex), s
+
+
+def hermitian_mask(mats, tol: float = 1e-10):
+    """Whether each matrix of a stack is Hermitian relative to its norm.  At absolute
+    noise level it is: cancellation can leave a skew residue of order eps."""
+    nrm = np.linalg.norm(mats, axis=(1, 2))
+    skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
+    return (nrm <= 1e-12) | (skew <= tol * nrm)
+
+
 class Element:
     """A vector in the algebra: coefficients over the declared basis."""
 
@@ -275,27 +295,11 @@ class Element:
         S, _ = self.alg.star_matrix()
         return Element(self.alg, S @ self.coeffs.conj())
 
-    def scaled(self):
-        """``(a / s, s)``, with s the largest real or imaginary part of the
-        coefficients (1 for zero), for homogeneous quantities that would
-        underflow or overflow on a itself.  Unlike |coeff|, s cannot
-        overflow, and the parts are divided as reals, since complex division
-        by a subnormal can."""
-        parts = self.coeffs.view(float)
-        s = float(np.abs(parts).max(initial=0.0)) or 1.0
-        return Element(self.alg, (parts / s).view(complex)), s
-
     def norm_frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        # elements at absolute noise level count as Hermitian: cancellation
-        # can leave skew residue of order eps with nothing left to scale by
-        m = self.matrix
-        nrm = float(np.linalg.norm(m))
-        if nrm <= 1e-12:
-            return True
-        return float(np.linalg.norm(m - m.conj().T)) <= tol * nrm
+        return bool(hermitian_mask(self.matrix[None], tol)[0])
 
     def in_a0(self, tol: ToleranceConfig = DEFAULT_TOL):
         """Return (member, a0_coeffs, residual) for A0 membership."""

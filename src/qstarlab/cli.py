@@ -30,8 +30,8 @@ from .lp_model import holder_sup, lp_bounded_norm, weight_ascent_oracle
 from .probes import DEFAULT_SEED, standard_probes
 from .report import dumps
 from .tolerances import DEFAULT_TOL
-from .topology import (BoundedFormSet, compare_topologies, gamma, left_mult_bound,
-                       p_lower, p_star, p_upper, ga_star_check)
+from .topology import (SEMINORM_KINDS, BoundedFormSet, compare_topologies, gamma,
+                       left_mult_bound, seminorm_eval, ga_star_check)
 
 
 def _load_source(source: str):
@@ -218,8 +218,7 @@ def _cmd_topology(args, tol):
         "command": "topology", "source": args.source, "family": fam.label,
         "set_size": len(F), "gamma": gamma(F, inst),
         "element": args.element or "e",
-        "seminorms": {"upper": p_upper(F, a), "lower": p_lower(F, a),
-                      "star": p_star(F, a)},
+        "seminorms": {kind: seminorm_eval(F, a, kind) for kind in SEMINORM_KINDS},
         "subalgebra_mult_bounds": mult_bounds,
         "upper_vs_star": comparison,
     }

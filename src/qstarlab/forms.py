@@ -174,8 +174,7 @@ def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
 def _twisted_grams(G, R):
     """The Grams R[k]^H G R[k] of the twists, for a stack R of
     right-multiplication matrices."""
-    T = R.conj().transpose(0, 2, 1) @ G @ R
-    return (T + T.conj().transpose(0, 2, 1)) / 2.0
+    return _hermitian_part(R.conj().transpose(0, 2, 1) @ G @ R)
 
 
 def _right_mult_of(x: Element, tol: ToleranceConfig = DEFAULT_TOL):
@@ -254,18 +253,20 @@ class QuotientSection:
     null_dirs: np.ndarray
     wmax: float
 
-    def leak(self, T) -> float:
-        """Largest |eigenvalue| of the Hermitian T on the dropped directions."""
-        if not self.null_dirs.shape[1]:
-            return 0.0
+    def leak(self, T):
+        """Largest |eigenvalue| of the Hermitian T (of each, for a stack) on the dropped directions."""
         L = self.null_dirs.conj().T @ T @ self.null_dirs
-        return float(np.abs(np.linalg.eigvalsh((L + L.conj().T) / 2.0)).max(initial=0.0))
+        return np.abs(np.linalg.eigvalsh(_hermitian_part(L))).max(axis=-1, initial=0.0)
 
-    def gain(self, T) -> float:
-        """Largest sqrt(z^H T z / z^H M z) over the essential range of M."""
+    def gain(self, T):
+        """Largest sqrt(z^H T z / z^H M z) over the essential range of M, per matrix of T."""
         B = self.section.conj().T @ T @ self.section
-        top = float(np.linalg.eigvalsh((B + B.conj().T) / 2.0).max(initial=0.0))
-        return float(np.sqrt(max(top, 0.0)))
+        return np.sqrt(np.linalg.eigvalsh(_hermitian_part(B)).max(axis=-1, initial=0.0))
+
+
+def _hermitian_part(T):
+    """(T + T^H) / 2 of a matrix or of each matrix of a stack."""
+    return (T + T.conj().swapaxes(-1, -2)) / 2.0
 
 
 def quotient_section(M, rank_tol: float) -> QuotientSection:
@@ -507,8 +508,7 @@ class FamilyContext:
     @cached_property
     def gram_sum(self):
         """Eigenpairs of the summed normalized Grams, and its null mask."""
-        T = self.nonzero[1].sum(axis=0)
-        w, V = np.linalg.eigh((T + T.conj().T) / 2.0)
+        w, V = np.linalg.eigh(_hermitian_part(self.nonzero[1].sum(axis=0)))
         wmax = float(np.abs(w).max(initial=0.0))
         return w, V, w <= self.tol.rank * max(wmax, 1e-300)
 
@@ -543,17 +543,19 @@ class FamilyContext:
     @cached_property
     def rep_blocks(self):
         """Per representation, the columns vec(pi(a_i)) over the basis."""
-        return tuple(np.stack(rep.rep_mats).reshape(self.alg.dim, -1).T for rep in self.reps)
+        return tuple(rep.rep_mats.reshape(self.alg.dim, -1).T for rep in self.reps)
 
     @cached_property
     def weak_system(self):
-        """``(M, U, s, Vh)``: row (member, j, k) of M holds phi(a_i.x_j, x_k)
-        / |phi| over i for the nonzero members, with M's thin SVD."""
+        """``(M, Uh, s, Vh)``: row (member, j, k) of M holds phi(a_i.x_j, x_k)
+        / |phi| over i for the nonzero members, with M's thin SVD U s Vh
+        and U kept as its adjoint Uh, the factor every solve applies."""
         units = self.nonzero[1]
         R0 = _right_mults(self.alg, self.tol)
         ix = np.asarray(self.alg.a0_indices)
         M = (units[:, None, ix, :] @ R0[None]).reshape(-1, self.alg.dim)
-        return (M, *np.linalg.svd(M, full_matrices=False))
+        U, s, Vh = np.linalg.svd(M, full_matrices=False)
+        return M, np.ascontiguousarray(U.conj().T), s, Vh
 
 
 @dataclass

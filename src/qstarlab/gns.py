@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Element, QuasiAlgebraInstance
 from .errors import NotIps, ZeroForm
-from .forms import GRAM, IpsForm, _dense, _right_mults, quotient_section
+from .forms import GRAM, IpsForm, _dense, _hermitian_part, _right_mults, quotient_section
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -27,8 +27,8 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 class GnsRep:
     """A concrete representation: coordinates, action matrices, cyclic vector.
 
-    ``lam`` maps subalgebra coefficients to coordinates, and
-    ``rep_mats[i]`` is the action of the i-th basis element.
+    ``lam`` maps subalgebra coefficients to coordinates, and the read-only
+    (d, r, r) array ``rep_mats`` holds the action of each basis element.
     ``residual_lambda`` and ``residual_rep`` record how exactly the extended
     coordinate map and the action matrices satisfy their defining equations;
     both are noise-level for a valid form.
@@ -38,7 +38,7 @@ class GnsRep:
     form: IpsForm
     dim_H: int
     lam: np.ndarray
-    rep_mats: tuple
+    rep_mats: np.ndarray
     cyclic: np.ndarray
     residual_lambda: float
     residual_rep: float
@@ -49,19 +49,19 @@ class GnsRep:
         # lam^H t = g; lam^H has full column rank, so lstsq is exact on consistent data
         return np.linalg.lstsq(self.lam.conj().T, g, rcond=None)[0]
 
-    def rep_matrix(self, a: Element) -> np.ndarray:
-        """Action of ``a`` on the coordinate space."""
-        out = np.zeros((self.dim_H, self.dim_H), dtype=complex)
-        for c, P in zip(a.coeffs, self.rep_mats):
-            if c != 0:
-                out += c * P
-        return out
+    def rep_matrix(self, a) -> np.ndarray:
+        """Action of the element ``a`` on the coordinate space, or the stack
+        of actions of the rows of a (k, d) coefficient stack."""
+        C = a.coeffs if isinstance(a, Element) else np.asarray(a)
+        return (C @ self.rep_mats.reshape(C.shape[-1], -1)).reshape(C.shape[:-1] + (self.dim_H,) * 2)
 
-    def rep_norm(self, a: Element) -> float:
-        """Operator norm of the action of ``a``."""
-        if self.dim_H == 0:
-            return 0.0
-        return float(np.linalg.norm(self.rep_matrix(a), 2))
+    def rep_norm(self, a):
+        """Operator norm of the action of ``a``, or one per row of a
+        coefficient stack from one batched SVD; NaN for a non-finite action."""
+        P = self.rep_matrix(a)
+        bad = ~np.isfinite(P).all(axis=(-2, -1))
+        top = np.linalg.svd(np.where(bad[..., None, None], 0.0, P), compute_uv=False)
+        return np.where(bad, np.nan, top.max(axis=-1, initial=0.0))[()]
 
     def vector_form(self, xi=None) -> IpsForm:
         """The form a, b -> <act(a) xi, act(b) xi>, as a Gram-kind form.
@@ -71,9 +71,8 @@ class GnsRep:
         of the form by x.
         """
         vec = self.cyclic if xi is None else np.asarray(xi, dtype=complex)
-        Z = np.column_stack([P @ vec for P in self.rep_mats])
-        G = Z.conj().T @ Z
-        return IpsForm(GRAM, (G + G.conj().T) / 2.0, label=f"{self.form.label}~vec")
+        Z = (self.rep_mats @ vec).T
+        return IpsForm(GRAM, _hermitian_part(Z.conj().T @ Z), label=f"{self.form.label}~vec")
 
 
 def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
@@ -107,9 +106,10 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
         raise NotIps("unit element is not expressible inside the subalgebra")
 
     scale = max(gnorm, 1.0)
+    rep_mats.setflags(write=False)
     return GnsRep(
         alg=alg, form=phi, dim_H=int(sec.w.size), lam=lam,
-        rep_mats=tuple(rep_mats), cyclic=lam @ unit0,
+        rep_mats=rep_mats, cyclic=lam @ unit0,
         residual_lambda=res_lambda / scale, residual_rep=res_rep / scale,
     )
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance
-from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norm
+from .algebra import Element, QuasiAlgebraInstance, scaled_rows
+from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norms
 from .errors import EmptyFamily, NotIps, NotSufficient
-from .forms import FormFamily, _right_mult_of, twist
+from .forms import FormFamily, _hermitian_part, _right_mult_of, twist
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -42,53 +42,70 @@ class BoundedFormSet:
         if not self.forms:
             raise EmptyFamily("a bounded form set needs at least one form")
         self.label = label
+        self._grams = None
 
     @classmethod
     def from_family(cls, family: FormFamily, alg: QuasiAlgebraInstance,
                     tol: ToleranceConfig = DEFAULT_TOL):
-        return cls(family.forms(alg, tol), label=family.label)
+        out = cls(family.forms(alg, tol), label=family.label)
+        out._grams = (alg, np.stack(family.context(alg, tol).closure[1]))
+        return out
 
     def __len__(self):
         return len(self.forms)
 
+    def grams(self, alg: QuasiAlgebraInstance):
+        """The members' Gram matrices on ``alg`` as one (f, d, d) stack, kept
+        for the last instance asked about."""
+        if self._grams is None or self._grams[0] is not alg:
+            self._grams = (alg, np.stack([phi.gram(alg) for phi in self.forms]))
+        return self._grams[1]
+
+
+def seminorms(F: BoundedFormSet, alg: QuasiAlgebraInstance, C, kind: str):
+    """The seminorm ``kind`` (in SEMINORM_KINDS or TOPOLOGY_KINDS) of each row
+    of a (k, d) coefficient stack, against the set's stacked Gram matrices.
+    Each row is evaluated on its own scaling and scaled back, so the values
+    are homogeneous from tiny elements to huge ones."""
+    kind = TOPOLOGY_KINDS.get(kind, kind)
+    if kind == "star":
+        both = seminorms(F, alg, np.vstack([C, np.conj(C) @ alg.star_matrix()[0].T]), "upper")
+        return np.maximum(*both.reshape(2, -1))
+    if kind not in SEMINORM_KINDS:
+        raise ValueError(f"unknown seminorm kind {kind!r}")
+    X, s = scaled_rows(C)
+    G = F.grams(alg)
+    if kind == "lower":
+        # phi(a, e) = e^H G a is row e of G against a
+        vals = np.abs(X @ G[:, alg.unit_index, :].T)
+    else:
+        vals = np.sqrt(np.maximum((X.conj() * (X @ G.transpose(0, 2, 1))).sum(axis=2).real.T, 0.0))
+    with np.errstate(over="ignore"):
+        return s * vals.max(axis=1, initial=0.0)
+
+
+def seminorm_eval(F: BoundedFormSet, a: Element, kind: str) -> float:
+    return float(seminorms(F, a.alg, a.coeffs[None], kind)[0])
+
 
 def p_upper(F: BoundedFormSet, a: Element) -> float:
     """max over the set of phi(a, a)^(1/2)."""
-    # homogeneous, like p_lower: evaluated on a / s and scaled back
-    a, s = a.scaled()
-    return s * max((float(np.sqrt(max(phi.eval(a, a).real, 0.0))) for phi in F.forms),
-                   default=0.0)
+    return seminorm_eval(F, a, "upper")
 
 
 def p_lower(F: BoundedFormSet, a: Element) -> float:
     """max over the set of |phi(a, e)|."""
-    a, s = a.scaled()
-    e = a.alg.unit
-    return s * max((abs(phi.eval(a, e)) for phi in F.forms), default=0.0)
+    return seminorm_eval(F, a, "lower")
 
 
 def p_star(F: BoundedFormSet, a: Element) -> float:
     """max of the upper seminorm at a and at its adjoint."""
-    return max(p_upper(F, a), p_upper(F, a.star()))
+    return seminorm_eval(F, a, "star")
 
 
 def gamma(F: BoundedFormSet, alg: QuasiAlgebraInstance) -> float:
     """max over the set of phi(e, e)^(1/2); controls lower by upper."""
-    e = alg.unit
-    return max((float(np.sqrt(max(phi.eval(e, e).real, 0.0))) for phi in F.forms),
-               default=0.0)
-
-
-def seminorm_eval(F: BoundedFormSet, a: Element, kind: str) -> float:
-    if kind in TOPOLOGY_KINDS:
-        kind = TOPOLOGY_KINDS[kind]
-    if kind == "upper":
-        return p_upper(F, a)
-    if kind == "lower":
-        return p_lower(F, a)
-    if kind == "star":
-        return p_star(F, a)
-    raise ValueError(f"unknown seminorm kind {kind!r}")
+    return p_upper(F, alg.unit)
 
 
 def twisted_set(F: BoundedFormSet, x: Element,
@@ -119,11 +136,10 @@ def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
     for G, sec in zip(ctx.closure[1], ctx.member_sections):
         if sec.wmax == 0.0:
             continue
-        L = R.conj().T @ G @ R
-        L = (L + L.conj().T) / 2.0
+        L = _hermitian_part(R.conj().T @ G @ R)
         if sec.leak(L) > slack * sec.wmax:
             return float("inf")
-        worst = max(worst, sec.gain(L))
+        worst = max(worst, float(sec.gain(L)))
     return worst
 
 
@@ -136,11 +152,13 @@ def compare_topologies(F1: BoundedFormSet, kind1: str, F2: BoundedFormSet, kind2
     sampled comparison, not a proof.
     """
     probes = list(probes)
+    values = []
+    if probes:
+        C, alg = np.array([a.coeffs for a in probes]), probes[0].alg
+        values = zip(*(seminorms(F, alg, C, kind).tolist() for F, kind in ((F1, kind1), (F2, kind2))))
     c12 = 0.0
     c21 = 0.0
-    for a in probes:
-        v1 = seminorm_eval(F1, a, kind1)
-        v2 = seminorm_eval(F2, a, kind2)
+    for v1, v2 in values:
         floor = 1e-14 * max(v1, v2, 1.0)
         if v2 <= floor:
             c12 = float("inf") if v1 > floor else c12
@@ -217,11 +235,9 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     max_norm = 0.0
     if suff.sufficient:
         try:
-            for j in range(alg.a0_dim):
-                x = alg.a0_basis_element(j)
-                v = m_bounded_norm(x, family, alg, tol).value
-                max_norm = max(max_norm, v)
-                bounded_ok = bounded_ok and np.isfinite(v)
+            reps = m_bounded_norms(np.eye(alg.dim)[list(alg.a0_indices)], family, alg, tol)
+            max_norm = max([0.0, *(rep.value for rep in reps)])
+            bounded_ok = all(np.isfinite(rep.value) for rep in reps)
         except (NotSufficient, NotIps):
             bounded_ok = False
     report.conditions.append(CheckResult(
@@ -246,17 +262,14 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
         return report
 
     F = BoundedFormSet.from_family(family, alg, tol)
-
-    worst_pair = 0.0
     m = min(len(probes), 6)
-    for i in range(m):
-        for j in range(m):
-            pa = p_star(F, probes[i])
-            pb = p_star(F, probes[j])
-            for phi in F.forms:
-                v = abs(phi.eval(probes[i], probes[j]))
-                excess = v - pa * pb
-                worst_pair = max(worst_pair, excess / max(pa * pb, 1.0))
+    P = np.reshape([a.coeffs for a in probes[:m]], (m, alg.dim))
+
+    # |phi(p_i, p_j)| = |p_j^H G p_i| over every closure member at once
+    ps = seminorms(F, alg, P, "star")
+    bound = np.outer(ps, ps)
+    excess = (np.abs(P.conj() @ F.grams(alg) @ P.T).max(axis=0, initial=0.0) - bound)
+    worst_pair = max(0.0, float((excess / np.maximum(bound, 1.0)).max(initial=0.0)))
     report.consequences.append(CheckResult(
         "pairing-bounded-by-star-seminorms", worst_pair <= 1e-8,
         {"worst_relative_excess": worst_pair}))
@@ -266,16 +279,13 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     for phi, rep in zip(family.dense_forms(alg, tol), family.context(alg, tol).reps):
         c0 = rng.standard_normal(alg.a0_dim) + 1j * rng.standard_normal(alg.a0_dim)
         full = np.zeros(alg.dim, dtype=complex)
-        for slot, cc in zip(alg.a0_indices, c0):
-            full[slot] = cc
-        x = alg.element(full)
+        full[list(alg.a0_indices)] = c0
         xi = rep.lam @ c0
-        Fx = twisted_set(BoundedFormSet([phi], label=phi.label), x, tol)
-        for a in probes[:m]:
-            lhs = max(float(np.linalg.norm(rep.rep_matrix(a) @ xi)),
-                      float(np.linalg.norm(rep.rep_matrix(a.star()) @ xi)))
-            rhs = p_star(Fx, a)
-            worst_vec = max(worst_vec, (lhs - rhs) / max(rhs, 1.0))
+        Fx = twisted_set(BoundedFormSet([phi], label=phi.label), alg.element(full), tol)
+        lhs = np.maximum(*(np.linalg.norm(rep.rep_matrix(Y) @ xi, axis=1)
+                           for Y in (P, P.conj() @ alg.star_matrix()[0].T)))
+        rhs = seminorms(Fx, alg, P, "star")
+        worst_vec = max(worst_vec, float(((lhs - rhs) / np.maximum(rhs, 1.0)).max(initial=0.0)))
     report.consequences.append(CheckResult(
         "vector-bound-for-twisted-sets", worst_vec <= 1e-8,
         {"worst_relative_excess": worst_vec}))

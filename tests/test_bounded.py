@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from corpus import make_corpus
-from qstarlab import (AmbiguousProduct, CharacterizationMismatch,
+from qstarlab import (DEFAULT_TOL, AmbiguousProduct, CharacterizationMismatch,
                       FamilyNotBalanced, GnsRep, NotSufficient,
                       NotWellDefined, ProductOverflow, build_gns, check_condition_product,
                       cone_intersection_null, cone_membership,
                       cone_witness_element, extract_bounded_algebra,
                       load_bundle, m_bounded_norm, radical,
                       weak_product)
+from qstarlab.bounded import _null_basis
+
+
+def svd_full(M):
+    return np.linalg.svd(M, full_matrices=True)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +260,69 @@ def test_weak_product_matches_row_by_row_reference():
         assert np.allclose(c.coeffs, ref, rtol=0.0, atol=1e-10 * np.linalg.norm(ref))
 
 
+def _count_svd(monkeypatch):
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return svd(*args, **kwargs)
+
+    for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        monkeypatch.setattr(module, "svd", counted)
+    return count
+
+
+def test_ambiguity_of_a_square_system_reuses_its_thin_svd(monkeypatch):
+    diag = load_bundle("m2_diag")
+    inst, fam = diag["instance"], diag["families"]["bad"]
+    M = fam.context(inst, DEFAULT_TOL).weak_system[0]
+    assert M.shape == (4, 4)
+    count = _count_svd(monkeypatch)
+    with pytest.raises(AmbiguousProduct) as exc:
+        weak_product(inst.basis_element(1), inst.basis_element(2), fam, inst)
+    assert count[0] == 0
+    # the direction the full SVD gives, up to phase
+    full = svd_full(M)[2].conj().T[:, -1]
+    assert abs(abs(np.vdot(full, exc.value.null_coeffs)) - 1.0) <= 1e-12
+
+
+def test_ambiguity_of_a_wide_system_takes_the_full_svd(monkeypatch):
+    flip = load_bundle("m2_flip")
+    inst, fam = flip["instance"], flip["families"]["amb"]
+    M = fam.context(inst, DEFAULT_TOL).weak_system[0]
+    assert M.shape == (1, 2)
+    count = _count_svd(monkeypatch)
+    with pytest.raises(AmbiguousProduct) as exc:
+        weak_product(inst.basis_element(1), inst.basis_element(1), fam, inst)
+    assert count[0] == 1
+    null = np.asarray(exc.value.null_coeffs)
+    assert np.linalg.norm(null) == pytest.approx(1.0)
+    assert np.linalg.norm(M @ null) <= 1e-12
+
+
 # -- radical ---------------------------------------------------------------
+
+def _full_svd_null(M, rank_tol):
+    _, s, Vh = svd_full(M)
+    rank = int(np.sum(s > rank_tol * max(float(s.max(initial=0.0)), 1e-300)))
+    return Vh.conj().T[:, rank:]
+
+
+def test_null_basis_matches_the_full_svd_for_tall_and_wide_maps():
+    rng = np.random.default_rng(23)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    tall = cplx(40, 3) @ cplx(3, 6)     # 40 x 6 of rank 3
+    wide = cplx(2, 7)                   # more null directions (5) than rows (2)
+    for M, dim in ((tall, 3), (wide, 5)):
+        N, ref = _null_basis(M, 1e-10), _full_svd_null(M, 1e-10)
+        assert N.shape == ref.shape == (M.shape[1], dim)
+        assert np.linalg.norm(N @ N.conj().T - ref @ ref.conj().T, 2) <= 1e-10
+        assert np.linalg.norm(M @ N) <= 1e-10 * np.linalg.norm(M)
+
 
 def test_radical_dimensions(m2, good, bad):
     assert radical(good, m2).dim == 0

@@ -123,6 +123,18 @@ def test_full_matrix_reps_are_faithful(m2full):
                 assert rep.rep_norm(inst.basis_element(i)) > 0.1
 
 
+def test_rep_mats_is_one_read_only_array(m2, phi):
+    rep = build_gns(phi, m2)
+    assert isinstance(rep.rep_mats, np.ndarray)
+    assert rep.rep_mats.shape == (m2.dim, rep.dim_H, rep.dim_H)
+    assert not rep.rep_mats.flags.writeable
+    # a coefficient stack acts row by row, and its norms come in one call
+    C = np.array([_rand_elem(m2, 60 + s).coeffs for s in range(3)])
+    for c, P, nrm in zip(C, rep.rep_matrix(C), rep.rep_norm(C)):
+        assert np.allclose(P, sum(ci * Pi for ci, Pi in zip(c, rep.rep_mats)), atol=1e-12)
+        assert nrm == pytest.approx(rep.rep_norm(m2.element(c)), rel=1e-12)
+
+
 def test_rep_norm_is_operator_norm(m2, phi):
     rep = build_gns(phi, m2)
     a = m2.basis_element(1)

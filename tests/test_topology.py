@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
+from corpus import make_corpus
+
 from qstarlab import (BoundedFormSet, FormFamily, NotInA0, compare_topologies,
                       ga_star_check, gamma, left_mult_bound, load_bundle,
                       module_product, p_lower, p_star, p_upper, seminorm_eval,
@@ -129,6 +131,33 @@ def test_topology_command_builds_each_gram_once(monkeypatch, capsys):
     assert cli.main(["topology", "bundled:m3_pattern", "--family", "good"]) == 0
     assert '"subalgebra_mult_bounds"' in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_ga_star_check_lapack_calls_do_not_grow_with_the_probes(monkeypatch):
+    # every norm, seminorm and weak product of the check runs as one stack,
+    # so a single probe and the default 2 * dim probes take the same calls
+    counts = {"svd": 0, "eigvalsh": 0}
+    for name in counts:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+            monkeypatch.setattr(module, name, counted)
+
+    def calls(n_probes):
+        inst, fam = make_corpus(count=3, seed=3, n_min=6, n_max=6)[2]
+        probes = None if n_probes is None else [inst.basis_element(i) for i in range(n_probes)]
+        counts.update(svd=0, eigvalsh=0)
+        assert ga_star_check(fam, inst, probes=probes).verdict
+        return dict(counts)
+
+    one, default = calls(1), calls(None)
+    assert one == default
+    # a per-element loop takes at least one SVD per norm, ~90 on this pair
+    assert default["svd"] <= 24 and default["eigvalsh"] <= 24, default
 
 
 def test_compare_topologies_weak_vs_strong(F, m2):
