@@ -72,12 +72,12 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
     AX = (_right_mults(alg, tol) @ a.coeffs).T
     a0_idx = np.asarray(alg.a0_indices)
     report = ConeReport(member=True)
-    for phi, G in zip(family.seeds, family.context(alg, tol).seed_grams):
+    ctx = family.context(alg, tol)
+    for phi, G, (full, _) in zip(family.seeds, ctx.seed_grams, ctx.sections):
         # the pairing matrix Q[j, k] = phi(a.x_k, x_j) over the subalgebra basis
         Q = (G @ AX)[a0_idx, :]
         scale = max(float(np.linalg.norm(Q, 2)),
-                    float(np.linalg.norm(G, 2)) * max(a.norm_frobenius(), 1.0) * 1e-8,
-                    1e-300)
+                    full.wmax * max(a.norm_frobenius(), 1.0) * 1e-8, 1e-300)
         K = (Q - Q.conj().T) / 2.0
         herm_res = float(np.linalg.norm(K, 2)) / scale
         H = (Q + Q.conj().T) / 2.0
@@ -195,7 +195,7 @@ def m_bounded_norms(C, family: FormFamily, alg: QuasiAlgebraInstance,
     a0_idx, hix = np.asarray(alg.a0_indices), np.flatnonzero(herm)
 
     pencil, quad, per_seed = np.zeros(len(X)), np.zeros(len(X)), []
-    for phi, G, sec in zip(family.seeds, ctx.seed_grams, ctx.sections):
+    for phi, G, (_, sec) in zip(family.seeds, ctx.seed_grams, ctx.sections):
         if not sec.w.size:
             continue
         GAX = G @ AX
@@ -313,38 +313,30 @@ def weak_products(A, B, family: FormFamily, alg: QuasiAlgebraInstance,
 
 
 def check_condition_product(family: FormFamily, alg: QuasiAlgebraInstance,
-                            tol: ToleranceConfig = DEFAULT_TOL,
-                            probes=None, max_pairs: int = 400) -> dict:
-    """Whether products of represented probes stay inside the represented span.
+                            tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+    """Whether products of represented basis elements stay inside the represented span.
 
-    For each ordered probe pair the product of representation matrices must
-    be expressible as the representation of some algebra element, jointly
-    across the dense generators.  Reports the failing pairs, if any.
+    For each of the d^2 ordered basis pairs the product of representation
+    matrices must be expressible as the representation of some algebra
+    element, jointly across the dense generators, all in one least-squares
+    solve.  Reports the failing pairs, if any.
     """
     ctx = family.context(alg, tol)
-    if probes is None:
-        probes = [alg.basis_element(i) for i in range(alg.dim)]
-    coeffs = np.reshape([p.coeffs for p in probes], (len(probes), alg.dim))
     M = np.vstack(ctx.rep_blocks)
+    left, right = np.divmod(np.arange(alg.dim ** 2), alg.dim)
 
-    pairs = [(i, j) for i in range(len(probes)) for j in range(len(probes))]
-    if len(pairs) > max_pairs:
-        stride = max(1, len(pairs) // max_pairs)
-        pairs = pairs[::stride][:max_pairs]
-    left, right = [i for i, _ in pairs], [j for _, j in pairs]
-
-    # one column per pair: the products pi(p_i) pi(p_j) across the representations
-    target = np.hstack([(P[left] @ P[right]).reshape(len(pairs), P.shape[-1] ** 2)
-                        for P in (rep.rep_matrix(coeffs) for rep in ctx.reps)]).T
+    # one column per pair: the products pi(a_i) pi(a_j) across the representations
+    target = np.hstack([(P[left] @ P[right]).reshape(len(left), P.shape[-1] ** 2)
+                        for P in (rep.rep_mats for rep in ctx.reps)]).T
     C, *_ = np.linalg.lstsq(M, target, rcond=None)
     rel = (np.linalg.norm(M @ C - target, axis=0)
            / np.maximum(np.linalg.norm(target, axis=0), 1.0))
     worst = float(rel.max(initial=0.0))
-    failures = [{"left": i, "right": j, "relative_residual": float(v)}
-                for (i, j), v in zip(pairs, rel) if v > tol.weak]
+    failures = [{"left": i, "right": j, "relative_residual": v}
+                for i, j, v in zip(left.tolist(), right.tolist(), rel.tolist()) if v > tol.weak]
     return {
         "holds": not failures,
-        "n_pairs": len(pairs),
+        "n_pairs": len(left),
         "n_failures": len(failures),
         "worst_relative_residual": worst,
         "failures": failures[:10],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -34,6 +35,14 @@ from .topology import (SEMINORM_KINDS, BoundedFormSet, compare_topologies, gamma
                        left_mult_bound, seminorm_eval, ga_star_check)
 
 
+def _read_text(path: Path, source: str) -> str:
+    """The UTF-8 text of a file, or a ParseError naming ``source``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(source, f"cannot read the file: {exc}") from None
+
+
 def _load_source(source: str):
     if source.startswith("bundled:"):
         bundle = load_bundle(source.split(":", 1)[1])
@@ -42,7 +51,7 @@ def _load_source(source: str):
     if not path.exists():
         raise ParseError(source, "no such file; use bundled:<name> or a JSON path")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(_read_text(path, source))
     except json.JSONDecodeError as exc:
         raise ParseError(source, f"invalid JSON: {exc}") from None
     return parse_payload(payload, source)
@@ -75,7 +84,7 @@ def _parse_element(alg: QuasiAlgebraInstance, text: str):
         path = Path(text[1:])
         if not path.exists():
             raise ParseError(text, "element file not found")
-        raw = path.read_text()
+        raw = _read_text(path, text)
     else:
         raw = text
     try:
@@ -93,6 +102,9 @@ def _parse_element(alg: QuasiAlgebraInstance, text: str):
 def _tol(args):
     given = {"psd": args.tol_psd, "rank": args.tol_rank, "weak": args.tol_weak}
     overrides = {key: value for key, value in given.items() if value is not None}
+    for key, value in overrides.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ParseError(f"--tol-{key}", f"must be a finite number >= 0, got {value!r}")
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
 
 
@@ -233,6 +245,8 @@ def _cmd_gastar(args, tol):
 
 def _cmd_lp(args, tol):
     k = args.points
+    if k < 1:
+        raise ParseError("--points", f"must be at least 1, got {k}")
     masses = _csv_floats(args.masses, "masses") if args.masses else [1.0 / k] * k
     if args.values:
         values = _csv_complex(args.values, "values")
@@ -370,6 +384,8 @@ def _run(argv) -> int:
         args = build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
         if args.twist_depth is not None:
             _checked_depth(args.twist_depth, "--twist-depth")
+        if args.probes < 0:
+            raise ParseError("--probes", f"must be >= 0, got {args.probes}")
         started = time.perf_counter()
         payload, code = _HANDLERS[args.cmd](args, _tol(args)), 0
     except SystemExit as exc:

@@ -37,14 +37,12 @@ import numpy as np
 from .algebra import (Element, QuasiAlgebraInstance, _is_int, complex_matrix_jsonable,
                       parse_complex_matrix)
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
+from .probes import random_probes
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 VECTOR_STATE = "vector_state"
 GRAM = "gram"
-
-# random probes used by the four-way degeneracy check
-_PROBE_SEED = 0xA11CE
 
 
 class IpsForm:
@@ -228,20 +226,6 @@ def _psd_margins(mats):
     return np.array(herm), w.min(axis=1, initial=np.inf), np.abs(w).max(axis=1, initial=0.0)
 
 
-def _rank(psd_mat, rank_tol):
-    w = np.linalg.eigvalsh((psd_mat + psd_mat.conj().T) / 2.0)
-    wmax = float(np.abs(w).max(initial=0.0))
-    if wmax == 0.0:
-        return 0
-    return int(np.sum(w > rank_tol * wmax))
-
-
-def _ranks(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
-    """Numerical ranks of a Gram matrix and of its subalgebra block."""
-    ix = np.asarray(alg.a0_indices)
-    return _rank(G, tol.rank), _rank(G[np.ix_(ix, ix)], tol.rank)
-
-
 @dataclass(frozen=True)
 class QuotientSection:
     """The kept eigenpairs (w, V) of a positive matrix M, the section
@@ -276,6 +260,14 @@ def quotient_section(M, rank_tol: float) -> QuotientSection:
     keep = w > rank_tol * max(wmax, 1e-300)
     return QuotientSection(w[keep], V[:, keep], V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep])),
                            V[:, ~keep], wmax)
+
+
+def gram_sections(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``(full, sub)``: the quotient sections of a Gram matrix and of its
+    subalgebra block.  Their ``w.size`` are the numerical ranks, and the
+    subalgebra is dense in the quotient exactly when the two are equal."""
+    ix = np.asarray(alg.a0_indices)
+    return quotient_section(G, tol.rank), quotient_section(G[np.ix_(ix, ix)], tol.rank)
 
 
 def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
@@ -324,12 +316,13 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
         "payload-positive", wmin >= -tol.psd * max(wmax, 1e-300),
         {"min_eig": wmin, "max_eig": wmax, "relative_margin": margin}))
 
-    inv_res, inv_scale = invariance_residual(phi, alg, tol)
+    G = phi.gram(alg)
+    inv_res, inv_scale = (float(v[0]) for v in _invariance_residuals(G[None], alg, tol))
     report.checks.append(CheckResult(
         "module-invariance", inv_res <= tol.form * inv_scale,
         {"residual": inv_res, "scale": inv_scale}))
 
-    report.rank_full, report.rank_sub = _ranks(phi.gram(alg), alg, tol)
+    report.rank_full, report.rank_sub = (sec.w.size for sec in gram_sections(G, alg, tol))
     dense = report.rank_sub == report.rank_full
     if require_density:
         report.checks.append(CheckResult(
@@ -345,12 +338,8 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
 
 def is_dense(phi: IpsForm, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether the subalgebra reaches the whole quotient space of phi."""
-    return _dense(phi.gram(alg), alg, tol)
-
-
-def _dense(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig) -> bool:
-    full, sub = _ranks(G, alg, tol)
-    return full == sub
+    full, sub = gram_sections(phi.gram(alg), alg, tol)
+    return full.w.size == sub.w.size
 
 
 def _checked_depth(depth, source):
@@ -471,8 +460,7 @@ class FamilyContext:
     def _grown(self):
         pairs = tuple(zip(self.seeds, self.seed_grams))
         if not self.balanced:
-            return self.seeds, self.seed_grams, tuple(
-                float(np.linalg.norm(G, 2)) for G in self.seed_grams), pairs
+            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), pairs
         R0 = _right_mults(self.alg, self.tol)
         norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
 
@@ -514,10 +502,8 @@ class FamilyContext:
 
     @cached_property
     def sections(self):
-        """Per seed, the quotient section of its subalgebra Gram block."""
-        ix = np.asarray(self.alg.a0_indices)
-        return tuple(quotient_section(G[np.ix_(ix, ix)], self.tol.rank)
-                     for G in self.seed_grams)
+        """Per seed, the ``(full, sub)`` quotient sections of ``gram_sections``."""
+        return tuple(gram_sections(G, self.alg, self.tol) for G in self.seed_grams)
 
     @cached_property
     def member_sections(self):
@@ -526,8 +512,8 @@ class FamilyContext:
 
     @cached_property
     def dense_seeds(self):
-        return tuple(phi for phi, G in zip(self.seeds, self.seed_grams)
-                     if _dense(G, self.alg, self.tol))
+        return tuple(phi for phi, (full, sub) in zip(self.seeds, self.sections)
+                     if full.w.size == sub.w.size)
 
     def dense_forms(self):
         if not self.dense_seeds:
@@ -537,8 +523,11 @@ class FamilyContext:
     @cached_property
     def reps(self):
         """Representations of the dense seeds, in seed order."""
-        from .gns import build_gns
-        return tuple(build_gns(phi, self.alg, self.tol) for phi in self.dense_forms())
+        from . import gns
+        dense = self.dense_forms()
+        return tuple(gns.represent(phi, G, secs, self.alg, self.tol)
+                     for phi, G, secs in zip(self.seeds, self.seed_grams, self.sections)
+                     if phi in dense)
 
     @cached_property
     def rep_blocks(self):
@@ -720,14 +709,7 @@ def check_sufficiency(family: FormFamily, alg: QuasiAlgebraInstance,
         quantifier=quantifier,
     )
 
-    probes = [alg.unit, alg.basis_element(0)]
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(2):
-        c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        e = alg.element(c)
-        nf = e.norm_frobenius()
-        if nf > 0:
-            probes.append(e * (1.0 / nf))
+    probes = [alg.unit, alg.basis_element(0), *random_probes(alg, 2)]
 
     if not sufficient:
         wc = V[:, 0]

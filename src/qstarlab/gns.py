@@ -7,8 +7,8 @@ inner product reproduces phi.  Every algebra element then acts on those
 coordinates, the unit maps to a cyclic vector, and pairing the action
 against the cyclic vector recovers the form exactly.
 
-``build_gns`` computes afresh on every call; a family keeps the
-representations of its dense seeds in its ``FamilyContext``.
+``build_gns`` runs ``represent`` on a form's own Gram matrix; a family runs
+it on the Grams and sections its ``FamilyContext`` holds, and keeps the result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Element, QuasiAlgebraInstance
 from .errors import NotIps, ZeroForm
-from .forms import GRAM, IpsForm, _dense, _hermitian_part, _right_mults, quotient_section
+from .forms import GRAM, IpsForm, _hermitian_part, _right_mults, gram_sections
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -27,8 +27,9 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 class GnsRep:
     """A concrete representation: coordinates, action matrices, cyclic vector.
 
-    ``lam`` maps subalgebra coefficients to coordinates, and the read-only
-    (d, r, r) array ``rep_mats`` holds the action of each basis element.
+    ``lam`` maps subalgebra coefficients to coordinates, the read-only
+    (d, r, r) array ``rep_mats`` holds the action of each basis element, and
+    ``gram`` is the form's Gram matrix the representation was built from.
     ``residual_lambda`` and ``residual_rep`` record how exactly the extended
     coordinate map and the action matrices satisfy their defining equations;
     both are noise-level for a valid form.
@@ -36,6 +37,7 @@ class GnsRep:
 
     alg: QuasiAlgebraInstance
     form: IpsForm
+    gram: np.ndarray
     dim_H: int
     lam: np.ndarray
     rep_mats: np.ndarray
@@ -45,7 +47,7 @@ class GnsRep:
 
     def lambda_vec(self, a: Element) -> np.ndarray:
         """Coordinates of the class of any algebra element."""
-        g = (self.form.gram(self.alg) @ a.coeffs)[np.asarray(self.alg.a0_indices)]
+        g = (self.gram @ a.coeffs)[np.asarray(self.alg.a0_indices)]
         # lam^H t = g; lam^H has full column rank, so lstsq is exact on consistent data
         return np.linalg.lstsq(self.lam.conj().T, g, rcond=None)[0]
 
@@ -79,17 +81,21 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
               tol: ToleranceConfig = DEFAULT_TOL) -> GnsRep:
     """Construct the representation of a dense form."""
     G = phi.gram(alg)
-    gnorm = float(np.linalg.norm(G, 2))
-    if gnorm <= 1e-300:
-        raise ZeroForm("cannot represent the zero form")
-    if not _dense(G, alg, tol):
-        raise NotIps(f"form {phi.label!r}: subalgebra is not dense in the quotient")
+    return represent(phi, G, gram_sections(G, alg, tol), alg, tol)
 
-    ix = np.asarray(alg.a0_indices)
-    sec = quotient_section(G[np.ix_(ix, ix)], tol.rank)
+
+def represent(phi: IpsForm, G, sections, alg: QuasiAlgebraInstance,
+              tol: ToleranceConfig) -> GnsRep:
+    """The representation of phi from its Gram G and ``gram_sections(G)``."""
+    full, sec = sections
+    if full.wmax <= 1e-300:
+        raise ZeroForm("cannot represent the zero form")
+    if full.w.size != sec.w.size:
+        raise NotIps(f"form {phi.label!r}: subalgebra is not dense in the quotient")
     if not sec.w.size:
         raise ZeroForm("form vanishes on the subalgebra")
-    lam = np.diag(np.sqrt(sec.w)) @ sec.V.conj().T     # r x n0, lam @ sec.section = I
+    lam = np.diag(np.sqrt(sec.w)) @ sec.V.conj().T     # r x n0, sec.section is its pinv
+    ix = np.asarray(alg.a0_indices)
 
     # GR[k][:, i] pairs a_i x_k against the subalgebra basis; coords[k][:, i]
     # are the coordinates of its class, and cols[i][:, k] regroups them
@@ -98,17 +104,17 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
     coords = sec.section.conj().T @ GR
     res_lambda = float(np.linalg.norm(lam.conj().T @ coords - GR, axis=1).max(initial=0.0))
     cols = coords.transpose(2, 1, 0)
-    rep_mats = cols @ np.linalg.pinv(lam)
+    rep_mats = cols @ sec.section
     res_rep = float(np.linalg.norm(rep_mats @ lam - cols, axis=(1, 2)).max(initial=0.0))
 
     unit0, ures = alg.a0_coeffs_of(alg.unit.matrix)
     if ures > tol.membership * max(1.0, float(np.linalg.norm(alg.unit.matrix))):
         raise NotIps("unit element is not expressible inside the subalgebra")
 
-    scale = max(gnorm, 1.0)
+    scale = max(full.wmax, 1.0)
     rep_mats.setflags(write=False)
     return GnsRep(
-        alg=alg, form=phi, dim_H=int(sec.w.size), lam=lam,
+        alg=alg, form=phi, gram=G, dim_H=int(sec.w.size), lam=lam,
         rep_mats=rep_mats, cyclic=lam @ unit0,
         residual_lambda=res_lambda / scale, residual_rep=res_rep / scale,
     )
@@ -116,6 +122,5 @@ def build_gns(phi: IpsForm, alg: QuasiAlgebraInstance,
 
 def reconstruction_defect(rep: GnsRep) -> float:
     """Relative Gram distance between the form and its cyclic reconstruction."""
-    G = rep.form.gram(rep.alg)
-    H = rep.vector_form().gram(rep.alg)
+    G, H = rep.gram, rep.vector_form().gram(rep.alg)
     return float(np.linalg.norm(G - H, 2)) / max(float(np.linalg.norm(G, 2)), 1e-300)

@@ -9,18 +9,25 @@ from .algebra import QuasiAlgebraInstance
 DEFAULT_SEED = 0xA11CE
 
 
+def random_probes(alg: QuasiAlgebraInstance, count: int, seed: int = DEFAULT_SEED):
+    """Up to ``count`` seeded random elements, each scaled to unit Frobenius
+    norm; a draw that is exactly zero is skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        e = alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+        nf = e.norm_frobenius()
+        if nf > 0:
+            out.append(e * (1.0 / nf))
+    return out
+
+
 def standard_probes(alg: QuasiAlgebraInstance, count: int = 32,
                     seed: int = DEFAULT_SEED):
     """Basis elements, the unit, seeded unit-size random elements, and the
     adjoints of all of the above, in a reproducible order."""
     probes = [alg.basis_element(i) for i in range(alg.dim)]
     probes.append(alg.unit)
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        e = alg.element(c)
-        nf = e.norm_frobenius()
-        if nf > 0:
-            probes.append(e * (1.0 / nf))
+    probes += random_probes(alg, count, seed)
     probes.extend([p.star() for p in list(probes)])
     return probes

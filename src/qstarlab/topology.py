@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import Element, QuasiAlgebraInstance, scaled_rows
 from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norms
 from .errors import EmptyFamily, NotIps, NotSufficient
-from .forms import FormFamily, _hermitian_part, _right_mult_of, twist
+from .forms import FormFamily, _hermitian_part, _right_mult_of, _right_mults, _twisted_grams
 from .report import CheckResult, all_passed
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -35,31 +35,22 @@ TOPOLOGY_KINDS = {"weak": "lower", "strong": "upper", "strong-star": "star"}
 
 
 class BoundedFormSet:
-    """A finite collection of forms used as the index set of seminorms."""
+    """A finite set of forms on one instance, used as the index set of
+    seminorms and held as the (f, d, d) stack of the members' Gram matrices."""
 
-    def __init__(self, forms, label: str = "F"):
-        self.forms = tuple(forms)
-        if not self.forms:
+    def __init__(self, grams, label: str = "F"):
+        self.grams = np.asarray(grams)
+        if not len(self.grams):
             raise EmptyFamily("a bounded form set needs at least one form")
         self.label = label
-        self._grams = None
 
     @classmethod
     def from_family(cls, family: FormFamily, alg: QuasiAlgebraInstance,
                     tol: ToleranceConfig = DEFAULT_TOL):
-        out = cls(family.forms(alg, tol), label=family.label)
-        out._grams = (alg, np.stack(family.context(alg, tol).closure[1]))
-        return out
+        return cls(np.stack(family.context(alg, tol).closure[1]), label=family.label)
 
     def __len__(self):
-        return len(self.forms)
-
-    def grams(self, alg: QuasiAlgebraInstance):
-        """The members' Gram matrices on ``alg`` as one (f, d, d) stack, kept
-        for the last instance asked about."""
-        if self._grams is None or self._grams[0] is not alg:
-            self._grams = (alg, np.stack([phi.gram(alg) for phi in self.forms]))
-        return self._grams[1]
+        return len(self.grams)
 
 
 def seminorms(F: BoundedFormSet, alg: QuasiAlgebraInstance, C, kind: str):
@@ -74,7 +65,7 @@ def seminorms(F: BoundedFormSet, alg: QuasiAlgebraInstance, C, kind: str):
     if kind not in SEMINORM_KINDS:
         raise ValueError(f"unknown seminorm kind {kind!r}")
     X, s = scaled_rows(C)
-    G = F.grams(alg)
+    G = F.grams
     if kind == "lower":
         # phi(a, e) = e^H G a is row e of G against a
         vals = np.abs(X @ G[:, alg.unit_index, :].T)
@@ -110,8 +101,8 @@ def gamma(F: BoundedFormSet, alg: QuasiAlgebraInstance) -> float:
 
 def twisted_set(F: BoundedFormSet, x: Element,
                 tol: ToleranceConfig = DEFAULT_TOL) -> BoundedFormSet:
-    """The set of twists phi^x over the set; empty twists are kept."""
-    return BoundedFormSet([twist(phi, x, tol) for phi in F.forms],
+    """The twists phi^x of the members, as Grams R_x^H G R_x; empty ones are kept."""
+    return BoundedFormSet(_twisted_grams(F.grams, _right_mult_of(x, tol)[None]),
                           label=f"{F.label}^tw")
 
 
@@ -268,23 +259,22 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     # |phi(p_i, p_j)| = |p_j^H G p_i| over every closure member at once
     ps = seminorms(F, alg, P, "star")
     bound = np.outer(ps, ps)
-    excess = (np.abs(P.conj() @ F.grams(alg) @ P.T).max(axis=0, initial=0.0) - bound)
+    excess = (np.abs(P.conj() @ F.grams @ P.T).max(axis=0, initial=0.0) - bound)
     worst_pair = max(0.0, float((excess / np.maximum(bound, 1.0)).max(initial=0.0)))
     report.consequences.append(CheckResult(
         "pairing-bounded-by-star-seminorms", worst_pair <= 1e-8,
         {"worst_relative_excess": worst_pair}))
 
+    # for x = sum c0_j x_j: |pi(a) lam(x)| against the seed twisted by x
     worst_vec = 0.0
     rng = np.random.default_rng(0xA11CE)
-    for phi, rep in zip(family.dense_forms(alg, tol), family.context(alg, tol).reps):
+    for rep in family.context(alg, tol).reps:
         c0 = rng.standard_normal(alg.a0_dim) + 1j * rng.standard_normal(alg.a0_dim)
-        full = np.zeros(alg.dim, dtype=complex)
-        full[list(alg.a0_indices)] = c0
         xi = rep.lam @ c0
-        Fx = twisted_set(BoundedFormSet([phi], label=phi.label), alg.element(full), tol)
+        Gx = _twisted_grams(rep.gram, np.tensordot(c0, _right_mults(alg, tol), axes=1)[None])
         lhs = np.maximum(*(np.linalg.norm(rep.rep_matrix(Y) @ xi, axis=1)
                            for Y in (P, P.conj() @ alg.star_matrix()[0].T)))
-        rhs = seminorms(Fx, alg, P, "star")
+        rhs = seminorms(BoundedFormSet(Gx), alg, P, "star")
         worst_vec = max(worst_vec, float(((lhs - rhs) / np.maximum(rhs, 1.0)).max(initial=0.0)))
     report.consequences.append(CheckResult(
         "vector-bound-for-twisted-sets", worst_vec <= 1e-8,

@@ -198,6 +198,27 @@ def test_vector_state_of_the_wrong_size_is_exit_2(tmp_path):
     assert "vector_state payload is 1x1, the instance needs 2x2" in out.stderr
 
 
+def test_unusable_flags_and_unreadable_files_are_exit_2(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"description": "caf\xe9"}')
+    good = ("bundled:m2_diag", "--family", "good")
+    for args in (("lp", "--points", "0", "--exponent", "4"),
+                 ("validate", str(tmp_path)),
+                 ("validate", str(latin1)),
+                 ("norm", *good, "--element", f"@{tmp_path}"),
+                 ("gastar", *good, "--tol-rank", "-1"),
+                 ("gastar", *good, "--tol-psd", "nan"),
+                 ("gastar", *good, "--tol-rank", "inf"),
+                 ("topology", *good, "--probes", "-4")):
+        out = main(*args)
+        assert out.returncode == 2, args
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    # zero stays a usable tolerance and probe count
+    assert main("gastar", *good, "--tol-rank", "0").returncode == 0
+    assert main("topology", *good, "--probes", "0").returncode == 0
+
+
 _CORRUPTIONS = (None, True, "x", [], {}, -1, 1e6, float("nan"))
 _SUBCOMMANDS = ("validate", "forms", "gns", "cone", "norm", "weakprod", "radical",
                 "topology", "gastar", "all")

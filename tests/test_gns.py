@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, IpsForm, NotIps, ZeroForm, build_gns, form_equal,
-                      load_bundle, reconstruction_defect, twist)
+                      is_dense, load_bundle, reconstruction_defect, twist)
 from qstarlab.forms import quotient_section
 
 
@@ -141,13 +142,35 @@ def test_rep_norm_is_operator_norm(m2, phi):
     assert rep.rep_norm(a) == float(np.linalg.norm(rep.rep_matrix(a), 2))
 
 
+def test_context_reps_match_build_gns():
+    # the family context and build_gns run one construction on the same Gram
+    pairs = [(b["instance"], fam) for b in map(load_bundle, ("m2_diag", "m2_full", "lp_k2_p4"))
+             for fam in b["families"].values()]
+    pairs += make_corpus(count=4, seed=9)
+    for inst, fam in pairs:
+        ctx = fam.context(inst)
+        assert ctx.dense_seeds == tuple(phi for phi in fam.seeds if is_dense(phi, inst))
+        if not ctx.dense_seeds:
+            with pytest.raises(NotIps):
+                ctx.reps
+            continue
+        assert len(ctx.reps) == len(ctx.dense_seeds)
+        for phi, rep in zip(ctx.dense_seeds, ctx.reps):
+            ref = build_gns(phi, inst)
+            assert rep.form is phi and rep.dim_H == ref.dim_H
+            for key in ("gram", "lam", "rep_mats", "cyclic"):
+                assert np.array_equal(getattr(rep, key), getattr(ref, key)), key
+            assert (rep.residual_lambda, rep.residual_rep) == \
+                (ref.residual_lambda, ref.residual_rep)
+
+
 def test_gns_command_reads_the_family_context(monkeypatch, capsys):
     # the seed's Gram and representation come from the family context,
     # and the reconstruction defect measures that representation
     from qstarlab import cli, gns
     builds, grams = [], []
-    build, gram = gns.build_gns, IpsForm.gram
-    monkeypatch.setattr(gns, "build_gns", lambda *a: builds.append(1) or build(*a))
+    build, gram = gns.represent, IpsForm.gram
+    monkeypatch.setattr(gns, "represent", lambda *a: builds.append(1) or build(*a))
     monkeypatch.setattr(IpsForm, "gram", lambda *a: grams.append(1) or gram(*a))
     assert cli.main(["gns", "bundled:m2_full", "--family", "trace"]) == 0
     assert '"reconstruction_defect"' in capsys.readouterr().out

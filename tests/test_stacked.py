@@ -78,8 +78,8 @@ def test_stacked_seminorms_match_single_rows():
                               seminorms(F, inst, C[:8], "lower")):
             a = inst.element(c)
             assert up == pytest.approx(max(np.sqrt(max(phi.eval(a, a).real, 0.0))
-                                           for phi in F.forms), rel=1e-9, abs=1e-12)
-            assert low == pytest.approx(max(abs(phi.eval(a, e)) for phi in F.forms),
+                                           for phi in fam.forms(inst)), rel=1e-9, abs=1e-12)
+            assert low == pytest.approx(max(abs(phi.eval(a, e)) for phi in fam.forms(inst)),
                                         rel=1e-9, abs=1e-12)
 
 

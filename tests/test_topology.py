@@ -160,6 +160,32 @@ def test_ga_star_check_lapack_calls_do_not_grow_with_the_probes(monkeypatch):
     assert default["svd"] <= 24 and default["eigvalsh"] <= 24, default
 
 
+def test_ga_star_check_decomposes_each_seed_gram_once(monkeypatch):
+    # the seed Grams and their sections come from the family context: the
+    # representation takes its pseudo-inverse from a section, and the
+    # vector bound twists the seed Gram it was built from
+    from qstarlab import IpsForm
+    inst, fam = make_corpus(count=3, seed=3, n_min=6, n_max=6)[2]
+    counts = dict.fromkeys(("gram", "svd", "eigh", "eigvalsh", "pinv"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(IpsForm, "gram", counting("gram", IpsForm.gram))
+    for name in ("svd", "eigh", "eigvalsh", "pinv"):
+        counted = counting(name, getattr(np.linalg, name))
+        for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+            monkeypatch.setattr(module, name, counted)
+    assert ga_star_check(fam, inst).verdict
+    assert counts["gram"] == len(fam.seeds)
+    assert counts["pinv"] == 0
+    # 35 when the representation decomposed each seed Gram afresh
+    assert counts["svd"] + counts["eigh"] + counts["eigvalsh"] <= 28, counts
+
+
 def test_compare_topologies_weak_vs_strong(F, m2):
     # a trace-free off-diagonal direction is invisible to the weak
     # seminorm, so the strong one cannot be dominated
