@@ -13,8 +13,9 @@ from .bundled import bundle_names, load_bundle
 from .errors import (AmbiguousProduct, BadExponent, BadMeasure,
                      CharacterizationMismatch, ClosureViolation, DependentBasis,
                      EmptyFamily, FamilyNotBalanced, MissingUnit, NotInA0,
-                     NotIps, NotSufficient, NotWellDefined, ParseError,
-                     ProductOverflow, QStarError, ZeroForm, ZeroFunction)
+                     NotIps, NotSufficient, NotWellDefined, OutOfFloatRange,
+                     ParseError, ProductOverflow, QStarError, ZeroForm,
+                     ZeroFunction)
 from .forms import (FamilyReport, FormFamily, FormReport, IpsForm,
                     SufficiencyReport, check_sufficiency, degeneracy_residuals,
                     form_equal, form_proportional, invariance_residual,

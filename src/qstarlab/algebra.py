@@ -206,11 +206,15 @@ class QuasiAlgebraInstance:
         """``(R0, rel_res)``: ``R0[j]`` is the right-multiplication matrix of
         the j-th subalgebra basis element and ``rel_res[j]`` its residual
         relative to that element's norm, for callers to judge at their tol."""
-        mats, res = zip(*(self.right_mult_matrix(self.basis[j]) for j in self.a0_indices))
-        scale = [max(float(np.linalg.norm(self.basis[j])), 1e-300) for j in self.a0_indices]
-        R0 = np.stack(mats)
+        B = np.stack(self.basis)
+        X = B[list(self.a0_indices)]
+        # prods[k] is right_mult_matrix's column stack of vec(a_i @ x_k) over i
+        prods = (B[None] @ X[:, None]).reshape(len(X), self.dim, -1).transpose(0, 2, 1)
+        R0 = self._pinv @ prods
+        res = np.abs(self._bmat @ R0 - prods).max(axis=(1, 2), initial=0.0)
+        scale = np.maximum(np.linalg.norm(X, axis=(1, 2)), 1e-300)
         R0.setflags(write=False)
-        return R0, np.array(res) / scale
+        return R0, res / scale
 
     # -- serialization ------------------------------------------------------
 

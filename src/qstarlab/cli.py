@@ -386,6 +386,8 @@ def _run(argv) -> int:
             _checked_depth(args.twist_depth, "--twist-depth")
         if args.probes < 0:
             raise ParseError("--probes", f"must be >= 0, got {args.probes}")
+        if args.seed < 0:
+            raise ParseError("--seed", f"must be >= 0, got {args.seed}")
         started = time.perf_counter()
         payload, code = _HANDLERS[args.cmd](args, _tol(args)), 0
     except SystemExit as exc:

@@ -87,6 +87,10 @@ class ProductOverflow(QStarError):
     """The weak product exists, but its coefficients exceed the float range."""
 
 
+class OutOfFloatRange(QStarError):
+    """A result exists, but it overflows or underflows the float range."""
+
+
 class AmbiguousProduct(QStarError):
     """The weak product system has a nontrivial null space.
 

@@ -306,6 +306,16 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
     the eigenvalue floor, module invariance, and (unless disabled) density
     of the subalgebra image in the quotient, decided by Gram ranks.
     """
+    G = phi.gram(alg)
+    inv_res, inv_scale = _invariance_residuals(G[None], alg, tol)
+    return _form_report(phi, gram_sections(G, alg, tol), inv_res[0], inv_scale[0],
+                        tol, require_density)
+
+
+def _form_report(phi: IpsForm, sections, inv_res, inv_scale, tol: ToleranceConfig,
+                 require_density: bool) -> FormReport:
+    """``validate_ips_form``'s report from phi's ``gram_sections`` and its
+    invariance residual and scale."""
     report = FormReport(label=phi.label, kind=phi.kind)
 
     herm_res, wmin, wmax = (float(v[0]) for v in _psd_margins(phi.payload[None]))
@@ -316,13 +326,12 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
         "payload-positive", wmin >= -tol.psd * max(wmax, 1e-300),
         {"min_eig": wmin, "max_eig": wmax, "relative_margin": margin}))
 
-    G = phi.gram(alg)
-    inv_res, inv_scale = (float(v[0]) for v in _invariance_residuals(G[None], alg, tol))
+    inv_res, inv_scale = float(inv_res), float(inv_scale)
     report.checks.append(CheckResult(
         "module-invariance", inv_res <= tol.form * inv_scale,
         {"residual": inv_res, "scale": inv_scale}))
 
-    report.rank_full, report.rank_sub = (sec.w.size for sec in gram_sections(G, alg, tol))
+    report.rank_full, report.rank_sub = (sec.w.size for sec in sections)
     dense = report.rank_sub == report.rank_full
     if require_density:
         report.checks.append(CheckResult(
@@ -586,12 +595,13 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     """
     if not family.seeds:
         raise EmptyFamily("family has no generators")
-    report = FamilyReport(label=family.label, balanced=family.balanced,
-                          twist_depth=family.twist_depth)
-    for phi in family.seeds:
-        report.seed_reports.append(validate_ips_form(phi, alg, tol, require_density=False))
-
     ctx = family.context(alg, tol)
+    seed_res, seed_scale = _invariance_residuals(np.array(ctx.seed_grams), alg, tol)
+    report = FamilyReport(label=family.label, balanced=family.balanced,
+                          twist_depth=family.twist_depth,
+                          seed_reports=[_form_report(*args, tol, require_density=False)
+                                        for args in zip(family.seeds, ctx.sections,
+                                                        seed_res, seed_scale)])
     members, grams, norms = ctx.closure
     report.closure_size = len(members)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Element, QuasiAlgebraInstance
-from .errors import BadExponent, BadMeasure, ZeroFunction
+from .errors import BadExponent, BadMeasure, OutOfFloatRange, ZeroFunction
 from .forms import VECTOR_STATE, FormFamily, IpsForm
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -124,28 +124,39 @@ def holder_sup(values, p: float, masses) -> dict:
 
     Returns the supremum (the squared p-norm), the seminorm (its square
     root), the extremal weight, and the value the extremal weight actually
-    attains as a consistency field.
+    attains as a consistency field.  A supremum that overflows or
+    underflows the float range raises ``OutOfFloatRange``.
     """
     model = DiscreteLpAlgebra.build(masses)
     s = conjugate_index(p)
     v = np.abs(np.asarray(values, dtype=complex))
     if v.shape != (model.k,):
         raise BadMeasure(f"expected {model.k} point values, got shape {v.shape}")
-    if float(v.max(initial=0.0)) == 0.0:
+    vmax = float(v.max(initial=0.0))
+    if vmax == 0.0:
         raise ZeroFunction("the extremal weight is undefined for the zero function")
 
-    norm_p = model.lp_norm(values, p)
-    sup_val = norm_p ** 2
+    # the norm scales with f and the extremal weight does not depend on its
+    # scale, so both come from u = f / max|f|: max|u| is exactly 1, so the
+    # powers of u neither overflow nor, at the largest point, underflow
+    u = v / vmax
+    with np.errstate(over="ignore"):
+        unit_norm = model.lp_norm(u, p)
+        norm_p = np.float64(vmax) * unit_norm  # a numpy float, so its square may be inf
+        sup_val = float(norm_p ** 2)
+    if not 0.0 < sup_val < np.inf:
+        raise OutOfFloatRange(f"the squared {p:g}-norm of f is outside the float range "
+                              f"(norm {norm_p:.3e})")
     if np.isinf(s):
         w_star = np.ones(model.k)
     else:
-        w_star = v ** (p - 2.0) / norm_p ** (p - 2.0)
-    attained = float(np.sum(v ** 2 * w_star * model.masses))
+        w_star = u ** (p - 2.0) / unit_norm ** (p - 2.0)
+    attained = float(np.sum(u ** 2 * w_star * model.masses)) * vmax * vmax
     return {
         "p": float(p),
         "conjugate_index": s,
         "sup": sup_val,
-        "seminorm": norm_p,
+        "seminorm": float(norm_p),
         "extremal_weight": w_star,
         "attained": attained,
         "weight_ball_norm": model.weight_norm(w_star, p),
@@ -165,7 +176,10 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
     model = DiscreteLpAlgebra.build(masses)
     s = conjugate_index(p)
     v = np.abs(np.asarray(values, dtype=complex))
-    g = v ** 2 * model.masses
+    with np.errstate(over="ignore"):
+        g = v ** 2 * model.masses
+    if not np.all(np.isfinite(g)):
+        raise OutOfFloatRange("|f|^2 m overflows the float range")
     m = model.masses
 
     def value(w):
@@ -190,47 +204,44 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
             nn = float(np.sum(w ** s * m) ** (1.0 / s))
         return w / nn
 
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def slice_best(w, i, j):
-        # redistribute the i/j share of the constraint along the slice
-        budget = w[i] ** s * m[i] + w[j] ** s * m[j]
-        if budget <= 0.0:
-            budget = 1e-12
-
-        def eval_t(t):
-            wi = (t * budget / m[i]) ** (1.0 / s)
-            wj = ((1.0 - t) * budget / m[j]) ** (1.0 / s)
-            return g[i] * wi + g[j] * wj, wi, wj
-
-        lo, hi = 0.0, 1.0
-        x1 = hi - golden * (hi - lo)
-        x2 = lo + golden * (hi - lo)
-        f1, f2 = eval_t(x1)[0], eval_t(x2)[0]
-        for _ in range(90):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + golden * (hi - lo)
-                f2 = eval_t(x2)[0]
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - golden * (hi - lo)
-                f1 = eval_t(x1)[0]
-        t = x1 if f1 >= f2 else x2
-        _, wi, wj = eval_t(t)
-        w[i], w[j] = wi, wj
-        return w
-
+    # the slice searches run on Python floats, which round each operation
+    # as float64 does; the order of the operations fixes every bit of the
+    # output (tests pin it), so keep t * budget / m_i unfused
+    golden = float((np.sqrt(5.0) - 1.0) / 2.0)
+    r = 1.0 / s
+    gl, ml = g.tolist(), m.tolist()
     w = normalize(np.ones(model.k))
     best = value(w)
     best_w = w.copy()
     done = 0
     for sweep in range(sweeps):
         before = value(w)
+        wl = w.tolist()
         for i in range(model.k):
             for j in range(i + 1, model.k):
-                w = slice_best(w, i, j)
-        w = normalize(w)
+                # redistribute the i/j share of the constraint along the
+                # slice; t is the share that goes to i
+                g_i, g_j, m_i, m_j = gl[i], gl[j], ml[i], ml[j]
+                budget = wl[i] ** s * m_i + wl[j] ** s * m_j
+                if budget <= 0.0:
+                    budget = 1e-12
+                lo, hi = 0.0, 1.0
+                x1 = hi - golden * (hi - lo)
+                x2 = lo + golden * (hi - lo)
+                f1, f2 = (g_i * (t * budget / m_i) ** r + g_j * ((1.0 - t) * budget / m_j) ** r
+                          for t in (x1, x2))
+                for _ in range(90):
+                    if f1 < f2:
+                        lo, x1, f1 = x1, x2, f2
+                        x2 = lo + golden * (hi - lo)
+                        f2 = g_i * (x2 * budget / m_i) ** r + g_j * ((1.0 - x2) * budget / m_j) ** r
+                    else:
+                        hi, x2, f2 = x2, x1, f1
+                        x1 = hi - golden * (hi - lo)
+                        f1 = g_i * (x1 * budget / m_i) ** r + g_j * ((1.0 - x1) * budget / m_j) ** r
+                t = x1 if f1 >= f2 else x2
+                wl[i], wl[j] = (t * budget / m_i) ** r, ((1.0 - t) * budget / m_j) ** r
+        w = normalize(np.array(wl))
         done = sweep + 1
         if value(w) > best:
             best, best_w = value(w), w.copy()

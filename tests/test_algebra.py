@@ -246,6 +246,21 @@ def test_in_a0_classification(m2):
     assert not m2.basis_element(1).in_a0()[0]
 
 
+def test_right_mult_table_stacks_the_one_element_matrices():
+    # the table is one stacked product and one projection; each slice must
+    # be the matrix and the residual that right_mult_matrix gives alone
+    insts = [load_bundle(name)["instance"] for name in ("m2_diag", "m3_pattern", "m2_flip")]
+    insts += [inst for inst, _ in make_corpus(count=4, seed=3)]
+    for inst in insts:
+        R0, rel = inst.right_mult_table
+        assert R0.shape == (inst.a0_dim, inst.dim, inst.dim) and not R0.flags.writeable
+        for j, i in enumerate(inst.a0_indices):
+            R, res = inst.right_mult_matrix(inst.basis[i])
+            assert np.allclose(R0[j], R, rtol=1e-13, atol=1e-15)
+            assert rel[j] == pytest.approx(res / np.linalg.norm(inst.basis[i]),
+                                           rel=1e-12, abs=1e-30)
+
+
 def test_mult_matrices_represent_products(m2):
     x = m2.a0_basis_element(1)
     R, _ = m2.right_mult_matrix(x.matrix)

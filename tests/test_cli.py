@@ -209,7 +209,9 @@ def test_unusable_flags_and_unreadable_files_are_exit_2(tmp_path):
                  ("gastar", *good, "--tol-rank", "-1"),
                  ("gastar", *good, "--tol-psd", "nan"),
                  ("gastar", *good, "--tol-rank", "inf"),
-                 ("topology", *good, "--probes", "-4")):
+                 ("topology", *good, "--probes", "-4"),
+                 ("topology", *good, "--seed", "-1"),
+                 ("lp", "--points", "2", "--exponent", "4", "--seed", "-1")):
         out = main(*args)
         assert out.returncode == 2, args
         assert out.stdout == ""
@@ -217,6 +219,17 @@ def test_unusable_flags_and_unreadable_files_are_exit_2(tmp_path):
     # zero stays a usable tolerance and probe count
     assert main("gastar", *good, "--tol-rank", "0").returncode == 0
     assert main("topology", *good, "--probes", "0").returncode == 0
+
+
+def test_lp_beyond_the_float_range_is_a_typed_error():
+    # the squared norm underflows at 1e-200 and overflows at 1e200; both
+    # exit 3 with no numpy warning on stderr
+    for values in ("1e-200,1e-300", "1e200,1"):
+        out = main("lp", "--points", "2", "--exponent", "4", "--masses", "0.5,0.5",
+                   "--values", values)
+        assert out.returncode == 3, values
+        assert json.loads(out.stdout)["error"] == "OutOfFloatRange"
+        assert out.stderr == ""
 
 
 _CORRUPTIONS = (None, True, "x", [], {}, -1, 1e6, float("nan"))

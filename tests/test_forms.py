@@ -298,6 +298,20 @@ def test_family_validation_takes_one_spectral_norm_per_member(monkeypatch):
     assert count[0] <= rep.closure_size
 
 
+def test_family_validation_builds_each_seed_gram_once(monkeypatch):
+    # the seed reports read the Grams and quotient sections that the
+    # family context holds, rather than validating each seed afresh
+    counted = []
+    gram = IpsForm.gram
+    monkeypatch.setattr(IpsForm, "gram", lambda phi, alg: counted.append(phi) or gram(phi, alg))
+    pairs = make_corpus(count=3, seed=1, n_min=8, n_max=8)
+    pairs.append((load_bundle("m2_full")["instance"], load_bundle("m2_full")["families"]["trace"]))
+    for inst, fam in pairs:
+        counted.clear()
+        validate_family(fam, inst)
+        assert sorted(map(id, counted)) == sorted(map(id, fam.seeds))
+
+
 def test_family_reports_ignore_the_global_random_state():
     out = []
     for state in (1, 2):

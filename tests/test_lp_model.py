@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qstarlab import (BadExponent, BadMeasure, DiscreteLpAlgebra, ZeroFunction,
-                      ball_lower_seminorm_nonneg, conjugate_index, holder_sup,
-                      lp_bounded_norm, weight_ascent_oracle)
+from qstarlab import (BadExponent, BadMeasure, DiscreteLpAlgebra, OutOfFloatRange,
+                      ZeroFunction, ball_lower_seminorm_nonneg, conjugate_index,
+                      holder_sup, lp_bounded_norm, weight_ascent_oracle)
 
 CASES = [
     (2.0, [0.5, 0.5], [1.0, 2.0]),
@@ -47,6 +47,31 @@ def test_extremal_weight_is_feasible_and_attains():
         assert np.all(w >= -1e-15)
         assert out["weight_ball_norm"] <= 1.0 + 1e-9
         assert out["attained"] == pytest.approx(out["sup"], rel=1e-10)
+
+
+def test_holder_sup_is_scale_covariant():
+    # |f|^p leaves the float range long before the squared p-norm does;
+    # the norm scales with f and the extremal weight does not move
+    for p, m, f in CASES:
+        base = holder_sup(f, p, m)
+        for c in (1e-100, 1e100):
+            out = holder_sup(np.multiply(f, c), p, m)
+            for key, power in (("seminorm", 1), ("sup", 2), ("attained", 2)):
+                assert out[key] == pytest.approx(c ** power * base[key], rel=1e-14, abs=0.0)
+            assert np.allclose(out["extremal_weight"], base["extremal_weight"],
+                               rtol=1e-14, atol=0.0)
+
+
+def test_out_of_float_range_is_a_typed_error():
+    for values in ([1e-200, 1e-300], [1e200, 1.0]):
+        with pytest.raises(OutOfFloatRange):
+            holder_sup(values, 4.0, [0.5, 0.5])
+    # in range although max|f|^p m underflows for any max|f| < 1
+    assert holder_sup([1.0, 1e-5], 1000.0, [1e-300, 1.0])["sup"] == pytest.approx(
+        1e-300 ** (2.0 / 1000.0), rel=1e-12)
+    # |f|^2 m overflows for the oracle, which works on f unscaled
+    with pytest.raises(OutOfFloatRange):
+        weight_ascent_oracle([1e200, 1.0], 4.0, [0.5, 0.5])
 
 
 def test_quadratic_exponent_weight_is_flat():
@@ -131,3 +156,44 @@ def test_error_paths():
         DiscreteLpAlgebra.build([0.5, -0.5])
     with pytest.raises(BadMeasure):
         DiscreteLpAlgebra.build([])
+
+
+# float.hex of (sup_estimate, weight, sweeps) for the four k = 8 inputs of
+# the cli-bundles benchmark and one k = 2 case; any reordering of the
+# oracle's float operations shows up here as a changed bit.  The oracle
+# calls the C library's pow, so a libm that rounds pow differently moves
+# the pins too
+_ORACLE_PINS = [
+    ([float(i + 1) for i in range(8)], 4.0, [1 / 8] * 8,
+     "0x1.08e853f43b0ddp+5",
+     ["0x1.eec8a367f1801p-6", "0x1.eec8b2a152c80p-4", "0x1.1650e2115b248p-2",
+      "0x1.eec8af1852780p-2", "0x1.828cc9f1a12fbp-1", "0x1.1650e3abc07dcp+0",
+      "0x1.7ad1a859b68b0p+0", "0x1.eec8b34975850p+0"], 11),
+    ([3, 1, 4, 1, 5, 9, 2, 6], 2.5, [1 / 8] * 8,
+     "0x1.8c8032e7f6f27p+4",
+     ["0x1.8d773235cb450p-1", "0x1.caf4299ab453fp-2", "0x1.caf429a1c7d58p-1",
+      "0x1.caf4293e9903fp-2", "0x1.00901d94f78a7p+0", "0x1.58371fcccaf3ap+0",
+      "0x1.4487813c54ca7p-1", "0x1.190cf6f4fe6d0p+0"], 9),
+    ([float(i + 1) for i in range(8)], 5.0, [0.3] + [0.1] * 7,
+     "0x1.06ad8a6c2c89cp+5",
+     ["0x1.5c522635d7aadp-8", "0x1.5c522591bae80p-5", "0x1.25e5506b97f48p-3",
+      "0x1.5c522a1060e5dp-2", "0x1.54283e664bca0p-1", "0x1.25e553eec244bp+0",
+      "0x1.d2b21755818a5p+0", "0x1.5c522bb0d0e84p+1"], 10),
+    ([1, -2, 3j, 0.5, 4, 1 + 1j, 2, -3], 6.0,
+     [0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1],
+     "0x1.0fabec665b181p+3",
+     ["0x1.c6a230c28c6fdp-7", "0x1.c6a22da8cdcd5p-3", "0x1.1fb2a227ce6a7p+0",
+      "0x1.c6a1e46b7d000p-11", "0x1.c6a230b44da05p+1", "0x1.c6a22e8d6406cp-5",
+      "0x1.c6a22ffd670c6p-3", "0x1.1fb2a441be998p+0"], 9),
+    ([1.0, 2.0], 4.0, [0.5, 0.5],
+     "0x1.752e50db3a3a2p+1", ["0x1.5f3aa6386f118p-2", "0x1.5f3aa677b3490p+0"], 2),
+]
+
+
+@pytest.mark.parametrize("values, p, masses, sup_hex, weight_hex, sweeps", _ORACLE_PINS)
+def test_oracle_iterates_are_pinned_to_the_bit(values, p, masses, sup_hex,
+                                               weight_hex, sweeps):
+    out = weight_ascent_oracle(values, p, masses)
+    assert out["sup_estimate"].hex() == sup_hex
+    assert [float(x).hex() for x in out["weight"]] == weight_hex
+    assert out["sweeps"] == sweeps
