@@ -195,12 +195,13 @@ def m_bounded_norms(C, family: FormFamily, alg: QuasiAlgebraInstance,
     a0_idx, hix = np.asarray(alg.a0_indices), np.flatnonzero(herm)
 
     pencil, quad, per_seed = np.zeros(len(X)), np.zeros(len(X)), []
-    for phi, G, (_, sec) in zip(family.seeds, ctx.seed_grams, ctx.sections):
+    for phi, G, (full, sec) in zip(family.seeds, ctx.seed_grams, ctx.sections):
         if not sec.w.size:
             continue
         GAX = G @ AX
         T = _hermitian_part(AX.conj().transpose(0, 2, 1) @ GAX)
-        leak_rel = sec.leak(T) / max(sec.wmax, 1e-300)
+        # the leak is measured at the scale the block's rank was cut at
+        leak_rel = sec.leak(T) / max(full.wmax, 1e-300)
         pen = np.where(leak_rel > tol.psd * np.maximum(1.0, fro2), np.inf, sec.gain(T))
         q = np.zeros_like(pencil)
         if hix.size:

@@ -5,12 +5,15 @@ same layout as the bundled data.  Reports are emitted as deterministic
 JSON (byte-identical across runs for the same inputs) or as an indented
 text rendering that additionally shows wall time.  Exit codes: 0 when the
 requested report was produced, 2 for unusable input, 3 when a typed
-analysis error stopped the computation.
+analysis error stopped the computation.  The argument parser is built
+on the first ``main`` call and reused for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import os
@@ -120,24 +123,27 @@ def _load_family(args):
     return inst, _at_depth(_pick_family(families, args.family, args.source), args)
 
 
+def _finite(values, text: str, what: str):
+    if not all(map(cmath.isfinite, values)):
+        raise ParseError(text, f"{what} must be finite")
+    return values
+
+
 def _csv_floats(text: str, what: str):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return _finite([float(x) for x in text.split(",") if x.strip()], text, what)
     except ValueError:
         raise ParseError(text, f"{what} must be comma-separated numbers") from None
 
 
 def _csv_complex(text: str, what: str):
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(complex(piece.replace("i", "j")))
-        except ValueError:
-            raise ParseError(text, f"{what} must be comma-separated numbers") from None
-    return out
+    # a trailing "i" marks the imaginary part; any other "i" stays, as in "inf"
+    pieces = [x.strip() for x in text.split(",") if x.strip()]
+    try:
+        return _finite([complex(x[:-1] + "j" if x.endswith("i") else x) for x in pieces],
+                       text, what)
+    except ValueError:
+        raise ParseError(text, f"{what} must be comma-separated numbers") from None
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -247,6 +253,8 @@ def _cmd_lp(args, tol):
     k = args.points
     if k < 1:
         raise ParseError("--points", f"must be at least 1, got {k}")
+    if not math.isfinite(args.exponent):
+        raise ParseError("--exponent", f"must be a finite number, got {args.exponent!r}")
     masses = _csv_floats(args.masses, "masses") if args.masses else [1.0 / k] * k
     if args.values:
         values = _csv_complex(args.values, "values")
@@ -281,10 +289,11 @@ def _cmd_all(args, tol):
                "families": {}}
     for name in sorted(families):
         fam = _at_depth(families[name], args)
-        entry = {"validation": validate_family(fam, inst, tol).as_dict(),
-                 "sufficiency": fam.sufficiency(inst, tol).as_dict(),
+        validation = validate_family(fam, inst, tol).as_dict()
+        suff = fam.sufficiency(inst, tol)
+        entry = {"validation": validation, "sufficiency": suff.as_dict(),
                  "radical_dim": radical(fam, inst, tol).dim}
-        if fam.sufficiency(inst, tol).sufficient:
+        if suff.sufficient:
             entry["gastar_verdict"] = ga_star_check(fam, inst, tol).verdict
         payload["families"][name] = entry
     return payload
@@ -326,11 +335,14 @@ _DEFAULTS = {"format": "json", "tol_psd": None, "tol_rank": None, "tol_weak": No
              "seed": DEFAULT_SEED, "probes": 16, "twist_depth": None}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # each shared argument is declared once, on a parent parser.  Parents
-    # share their Action objects with every parser built from them, so the
-    # common flags default to SUPPRESS everywhere and _run() seeds the
-    # namespace from _DEFAULTS; set_defaults would leak between subparsers
+    # built once per process: parsing never mutates the parser, and _run()
+    # parses into a fresh namespace.  Each shared argument is declared once,
+    # on a parent parser.  Parents share their Action objects with every
+    # parser built from them, so the common flags default to SUPPRESS
+    # everywhere and _run() seeds the namespace from _DEFAULTS;
+    # set_defaults would leak between subparsers
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "text"))
     common.add_argument("--tol-psd", type=float, help="positivity tolerance override")

@@ -253,11 +253,12 @@ def _hermitian_part(T):
     return (T + T.conj().swapaxes(-1, -2)) / 2.0
 
 
-def quotient_section(M, rank_tol: float) -> QuotientSection:
-    """Split a positive matrix into its essential range and null directions."""
+def quotient_section(M, rank_tol: float, scale=None) -> QuotientSection:
+    """Split a positive matrix into its essential range and null directions,
+    cutting at ``rank_tol`` times ``scale`` (default: M's top |eigenvalue|)."""
     w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
     wmax = float(np.abs(w).max(initial=0.0))
-    keep = w > rank_tol * max(wmax, 1e-300)
+    keep = w > rank_tol * max(wmax if scale is None else scale, 1e-300)
     return QuotientSection(w[keep], V[:, keep], V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep])),
                            V[:, ~keep], wmax)
 
@@ -265,9 +266,12 @@ def quotient_section(M, rank_tol: float) -> QuotientSection:
 def gram_sections(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     """``(full, sub)``: the quotient sections of a Gram matrix and of its
     subalgebra block.  Their ``w.size`` are the numerical ranks, and the
-    subalgebra is dense in the quotient exactly when the two are equal."""
+    subalgebra is dense in the quotient exactly when the two are equal.
+    Both are cut at the scale of the whole Gram, so a block of rounding
+    noise has rank 0, and the block's rank never exceeds the Gram's."""
     ix = np.asarray(alg.a0_indices)
-    return quotient_section(G, tol.rank), quotient_section(G[np.ix_(ix, ix)], tol.rank)
+    full = quotient_section(G, tol.rank)
+    return full, quotient_section(G[np.ix_(ix, ix)], tol.rank, full.wmax)
 
 
 def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,

@@ -67,22 +67,14 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# JSON string escapes: quote, backslash, \n, \t, and \uXXXX for the other
+# control characters below 0x20
+_ESCAPES = str.maketrans({**{chr(c): f"\\u{c:04x}" for c in range(0x20)},
+                          '"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def dumps(obj, indent: int = 2) -> str:

@@ -80,6 +80,60 @@ def test_global_flags_accepted_in_both_positions():
     assert not text.stdout.lstrip().startswith("{")
 
 
+def test_parser_is_built_once_per_process(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", Counting)
+    assert main("norm", "bundled:m2_diag", "--family", "good", "--element", "e").returncode == 0
+    assert main("validate", "bundled:m2_diag").returncode == 0
+    assert built == []
+
+
+def test_reused_parser_keeps_no_flags_between_calls(monkeypatch):
+    seen = []
+
+    def recording_tol(args, _tol=cli._tol):
+        seen.append(vars(args).copy())
+        return _tol(args)
+
+    monkeypatch.setattr(cli, "_tol", recording_tol)
+    topo = ("topology", "bundled:m2_full", "--family", "trace")
+    norm = ("norm", "bundled:m2_diag", "--family", "good", "--element", "e")
+    forms = ("forms", "bundled:m2_diag", "--family", "good")
+    plain = {cmd: main(*cmd).stdout for cmd in (topo, norm, forms)}
+    for flagged, later in ((("--probes", "4", "--seed", "7", *topo), topo),
+                           (("--format", "text", *norm), norm),
+                           ((*forms, "--twist-depth", "0"), forms),
+                           (norm, norm[:2] + norm[4:])):
+        assert main(*flagged).returncode == 0
+        seen.clear()
+        out = main(*later)
+        assert {key: seen[0][key] for key in cli._DEFAULTS} == cli._DEFAULTS, flagged
+        if later in plain:
+            assert out.returncode == 0
+            assert out.stdout == plain[later], flagged
+    # the family-less norm on a two-family bundle is still refused
+    assert seen[0]["family"] is None
+    assert out.returncode == 2
+    assert "choose a family" in out.stderr
+
+
+def test_usage_error_leaves_the_next_command_intact():
+    cmd = ("norm", "bundled:m2_diag", "--family", "good")
+    failed = main(*cmd)
+    assert failed.returncode == 2
+    assert "--element" in failed.stderr
+    ok = main(*cmd, "--element", "basis:1")
+    assert ok.returncode == 0
+    assert ok.stdout == run(*cmd, "--element", "basis:1").stdout
+
+
 def test_text_format_renders():
     out = run("validate", "bundled:m2_diag", "--format", "text")
     assert out.returncode == 0
@@ -211,7 +265,11 @@ def test_unusable_flags_and_unreadable_files_are_exit_2(tmp_path):
                  ("gastar", *good, "--tol-rank", "inf"),
                  ("topology", *good, "--probes", "-4"),
                  ("topology", *good, "--seed", "-1"),
-                 ("lp", "--points", "2", "--exponent", "4", "--seed", "-1")):
+                 ("lp", "--points", "2", "--exponent", "4", "--seed", "-1"),
+                 ("lp", "--points", "2", "--exponent", "4", "--values", "nan,1"),
+                 ("lp", "--points", "2", "--exponent", "4", "--values", "inf,1"),
+                 ("lp", "--points", "2", "--exponent", "4", "--masses", "nan,1"),
+                 ("lp", "--points", "2", "--exponent", "nan")):
         out = main(*args)
         assert out.returncode == 2, args
         assert out.stdout == ""

@@ -8,7 +8,8 @@ from qstarlab import (DEFAULT_TOL, ClosureViolation, EmptyFamily, FormFamily,
                       IpsForm, NotInA0, NotIps, ParseError,
                       QuasiAlgebraInstance, check_sufficiency, form_equal,
                       form_proportional, invariance_residual, is_dense,
-                      load_bundle, twist, validate_family, validate_ips_form)
+                      load_bundle, m_bounded_norms, twist, validate_family,
+                      validate_ips_form)
 from qstarlab.report import dumps
 
 
@@ -147,6 +148,36 @@ def test_density_failure_detected(m2):
     assert rep.rank_sub < rep.rank_full
     rep2 = validate_ips_form(halftrace, m2, require_density=False)
     assert rep2.accepted
+
+
+def test_rounding_noise_in_the_subalgebra_block_has_rank_zero():
+    # E_55 + eps * 11^T: the block on A0 = span(0, 1, 2) is eps * 11^T, far
+    # below the rank cutoff of the whole Gram, so every eps answers as eps = 0
+    m3 = load_bundle("m3_pattern")
+    inst, good = m3["instance"], m3["families"]["good"]
+    basis = np.eye(inst.dim)
+    answers = []
+    for eps in (0.0, 1e-17, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
+        G = np.full((7, 7), eps)
+        G[5, 5] += 1.0
+        phi = IpsForm("gram", G, "E55")
+        rep = validate_ips_form(phi, inst)
+        fam = FormFamily(good.seeds + (phi,), good.balanced, good.twist_depth, "good+E55")
+        norms = [r.value for r in m_bounded_norms(basis, fam, inst)]
+        answers.append((rep.accepted, rep.rank_full, rep.rank_sub, norms))
+    assert answers[0][:3] == (False, 1, 0)
+    assert all(0.999 < v < 1.001 for v in answers[0][3])
+    assert answers == [answers[0]] * len(answers)
+
+
+def test_subalgebra_rank_never_exceeds_the_full_rank(m2, good):
+    # E_11 (basis index 1 lies outside A0 = span(0, 3)) plus 1e-15 G0 / ||G0||,
+    # G0 the seed's Gram: the subalgebra block holds rounding-level mass only
+    G0 = good.seeds[0].gram(m2)
+    G = 1e-15 * G0 / np.linalg.norm(G0, 2)
+    G[1, 1] += 1.0
+    rep = validate_ips_form(IpsForm("gram", G), m2)
+    assert rep.rank_sub <= rep.rank_full == 1
 
 
 def test_invariance_failure_detected(m2):

@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qstarlab import (form_equal, hermitian_parts, holder_sup, load_bundle,
+from qstarlab import (DEFAULT_TOL, form_equal, hermitian_parts, holder_sup, load_bundle,
                       m_bounded_norm, p_upper, twist, weak_product,
                       weight_ascent_oracle, BoundedFormSet)
+from qstarlab.forms import gram_sections
 
 _diag = load_bundle("m2_diag")
 M2 = _diag["instance"]
@@ -140,3 +141,27 @@ def test_closure_reproducible(k):
     assert len(fresh) == len(memo)
     idx = min(k, len(memo) - 1)
     assert form_equal(fresh[idx], memo[idx], M2)
+
+
+_M3 = load_bundle("m3_pattern")["instance"]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=7),
+       st.booleans(), st.integers(min_value=-17, max_value=-6),
+       st.integers(min_value=-100, max_value=100))
+@settings(max_examples=200, deadline=None)
+def test_block_rank_never_exceeds_full_rank(seed, rank, off_block, noise_exp, scale_exp):
+    # a random PSD Gram of the given rank (optionally with nothing on the
+    # subalgebra block), at any scale, plus PSD noise on the block alone:
+    # the block is a principal submatrix, so its rank cannot exceed the Gram's
+    rng = np.random.default_rng(seed)
+    d, ix = _M3.dim, np.asarray(_M3.a0_indices)
+    B = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    if off_block:
+        B[ix] = 0.0
+    N = rng.normal(size=(ix.size, ix.size)) + 1j * rng.normal(size=(ix.size, ix.size))
+    G = B @ B.conj().T
+    G[np.ix_(ix, ix)] += 10.0 ** noise_exp * (N @ N.conj().T)
+    G *= 10.0 ** scale_exp
+    full, sub = gram_sections(G, _M3, DEFAULT_TOL)
+    assert sub.w.size <= full.w.size
