@@ -201,20 +201,28 @@ class QuasiAlgebraInstance:
         Returns ``(S, max_residual)``."""
         return self._star
 
-    @cached_property
+    @property
     def right_mult_table(self):
         """``(R0, rel_res)``: ``R0[j]`` is the right-multiplication matrix of
         the j-th subalgebra basis element and ``rel_res[j]`` its residual
         relative to that element's norm, for callers to judge at their tol."""
+        return self._right_products[:2]
+
+    @cached_property
+    def _right_products(self):
+        """``right_mult_table`` and, at ``[2][j, i]``, the Frobenius norm of
+        the span residual of the product a_i @ x_j, which structure
+        validation reads as the right half of its bimodule closure."""
         B = np.stack(self.basis)
         X = B[list(self.a0_indices)]
         # prods[k] is right_mult_matrix's column stack of vec(a_i @ x_k) over i
         prods = (B[None] @ X[:, None]).reshape(len(X), self.dim, -1).transpose(0, 2, 1)
         R0 = self._pinv @ prods
-        res = np.abs(self._bmat @ R0 - prods).max(axis=(1, 2), initial=0.0)
+        D = self._bmat @ R0 - prods
+        res = np.abs(D).max(axis=(1, 2), initial=0.0)
         scale = np.maximum(np.linalg.norm(X, axis=(1, 2)), 1e-300)
         R0.setflags(write=False)
-        return R0, res / scale
+        return R0, res / scale, np.linalg.norm(D, axis=1)
 
     # -- serialization ------------------------------------------------------
 
@@ -393,12 +401,16 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
     nb = np.linalg.norm(B.reshape(d, -1), axis=1)
     nx = nb[ix]
 
-    def closure(name, prods, scale, key, where, sub):
-        """Worst span residual of the products, relative to their scale;
-        ``where`` maps the position of the worst product to its indices."""
+    def resid(prods, sub):
+        """The Frobenius norm of each product's residual against the span."""
         P = prods.reshape(-1, n * n).T
         bmat, pinv = (alg._bmat_a0, alg._pinv_a0) if sub else (alg._bmat, alg._pinv)
-        rel = np.linalg.norm(bmat @ (pinv @ P) - P, axis=0) / np.maximum(scale.reshape(-1), 1e-300)
+        return np.linalg.norm(bmat @ (pinv @ P) - P, axis=0).reshape(prods.shape[:-2])
+
+    def closure(name, res, scale, key, where):
+        """Worst span residual of the products, relative to their scale;
+        ``where`` maps the position of the worst product to its indices."""
+        rel = (res / np.maximum(scale, 1e-300)).reshape(-1)
         worst = float(rel.max(initial=0.0))
         at = where(*(int(i) for i in np.unravel_index(np.argmax(rel), scale.shape))) if worst > 0 else None
         checks.append(CheckResult(name, worst <= tol.structure, {"max_residual": worst, key: at}))
@@ -406,15 +418,17 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
     def adj(M):
         return M.conj().swapaxes(-1, -2)
 
-    closure("subalgebra-product-closure", X[:, None] @ X[None], np.outer(nx, nx),
-            "worst_pair", lambda j, k: (ix[j], ix[k]), sub=True)
-    closure("subalgebra-involution-closure", adj(X), nx,
-            "worst_index", lambda j: ix[j], sub=True)
-    closure("involution-closure", adj(B), nb,
-            "worst_index", lambda i: i, sub=False)
-    closure("bimodule-closure", np.stack([X[:, None] @ B, B @ X[:, None]], axis=2),
+    closure("subalgebra-product-closure", resid(X[:, None] @ X[None], True), np.outer(nx, nx),
+            "worst_pair", lambda j, k: (ix[j], ix[k]))
+    closure("subalgebra-involution-closure", resid(adj(X), True), nx,
+            "worst_index", lambda j: ix[j])
+    closure("involution-closure", resid(adj(B), False), nb,
+            "worst_index", lambda i: i)
+    # the right half, a_i x_j, comes from the instance's right-multiplication table
+    closure("bimodule-closure",
+            np.stack([resid(X[:, None] @ B, False), alg._right_products[2]], axis=2),
             np.repeat(np.outer(nx, nb)[:, :, None], 2, axis=2),
-            "worst_triple", lambda j, i, s: (("left", "right")[s], ix[j], i), sub=False)
+            "worst_triple", lambda j, i, s: (("left", "right")[s], ix[j], i))
 
     # (x a) y = x (a y), a (x y) = (a x) y and (a x)^H = x^H a^H hold
     # identically for matrices, so their residuals certify only the

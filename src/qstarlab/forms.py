@@ -21,6 +21,11 @@ The closure and its twist-stability check sort twisted Grams into zero, known
 and new directions from |D|_F / sqrt(d) <= |D|_2 <= |D|_F (Golub & Van Loan,
 2.3), certifying a direction by 2e <= tol.form (a - e) (see ``_classify``), and
 take a spectral norm only for a member kept or where that is inconclusive.
+Before that, a twist is certified zero without being formed when
+|R_x^H G|_F |R_x|_F is below the floor, since |R_x^H G R_x|_F is at most that
+(Golub & Van Loan, 2.3; see ``_twister``): one product R^H G for all basis
+twists of a member, and the second product only for the twists it keeps.
+Twisted members are labelled with the basis index they were twisted by.
 
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
@@ -35,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (Element, QuasiAlgebraInstance, _is_int, complex_matrix_jsonable,
-                      parse_complex_matrix)
+                      parse_complex_matrix, scaled_rows)
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
 from .probes import random_probes
 from .report import CheckResult, all_passed
@@ -149,7 +154,14 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     if s * f <= floor or (s * f <= rd * floor and float(np.linalg.norm(G, 2)) <= floor):
         return "zero"
     K = units.reshape(len(units), G.size).view(float)
-    a = (K @ g) / np.einsum("ij,ij->i", K, K)
+    kk = np.einsum("ij,ij->i", K, K)
+    a = (K @ g) / kk
+    if a.size:
+        # the unit at the smallest angle first: its e is the full test's, bit for bit
+        k = int(np.argmax(a * a * kk))
+        e = np.linalg.norm((g - a[k] * K[k])[None], axis=1)
+        if 2.0 * e[0] <= tol.form * (a[k] - e[0]):
+            return "known"
     e = np.linalg.norm(g - a[:, None] * K, axis=1)
     if np.any(2.0 * e <= tol.form * (a - e)):
         return "known"
@@ -173,6 +185,39 @@ def _twisted_grams(G, R):
     """The Grams R[k]^H G R[k] of the twists, for a stack R of
     right-multiplication matrices."""
     return _hermitian_part(R.conj().transpose(0, 2, 1) @ G @ R)
+
+
+def _frobenius_rows(M):
+    """The Frobenius norm of each matrix of a stack.  Squares can underflow or
+    overflow only in a norm far from 1, which is taken again on parts scaled
+    to at most 1."""
+    P = M.reshape(len(M), -1).view(float)
+    norms = np.sqrt(np.einsum("ij,ij->i", P, P))
+    far = ~((norms > 1e-140) & (norms < 1e140))
+    if far.any():
+        Mn, s = scaled_rows(M.reshape(len(M), -1)[far])
+        norms[far] = s * np.linalg.norm(Mn, axis=1)
+    return norms
+
+
+def _twister(R):
+    """``twists(G, floor)`` for a stack R of right-multiplication matrices:
+    the indices j whose twist R[j]^H G R[j] is not certified below ``floor``
+    in Frobenius norm, with their twisted Grams from ``_twisted_grams``.
+
+    The certificate is |R^H G R|_F <= |R^H G|_F |R|_F (Golub & Van Loan,
+    2.3), on the same product R^H G that ``_twisted_grams`` forms first;
+    the factor 1 + 4 d^2 eps covers the rounding of the second product and
+    of every norm involved, so a twist left out is one that ``_classify``
+    would call zero at that floor.  It needs no positivity of G."""
+    RH = R.conj().transpose(0, 2, 1)
+    d = R.shape[-1]
+    rnorms = _frobenius_rows(R) * (1.0 + 4.0 * d * d * np.finfo(float).eps)
+
+    def twists(G, floor):
+        keep = np.flatnonzero(~(_frobenius_rows(RH @ G) * rnorms <= floor))
+        return keep, _twisted_grams(G, R[keep])
+    return twists
 
 
 def _right_mult_of(x: Element, tol: ToleranceConfig = DEFAULT_TOL):
@@ -474,7 +519,7 @@ class FamilyContext:
         pairs = tuple(zip(self.seeds, self.seed_grams))
         if not self.balanced:
             return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), pairs
-        R0 = _right_mults(self.alg, self.tol)
+        twists, ix = _twister(_right_mults(self.alg, self.tol)), self.alg.a0_indices
         norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
 
         def fresh(G):
@@ -490,8 +535,9 @@ class FamilyContext:
         kept = [(phi, G) for phi, G in pairs if fresh(G)]
         frontier = pairs
         for _ in range(self.depth):
-            new = [IpsForm(GRAM, Gt, label=f"{phi.label}^tw")
-                   for phi, G in frontier for Gt in _twisted_grams(G, R0) if fresh(Gt)]
+            # 1e-14 is the smallest floor fresh uses, so a twist certified below it is zero
+            new = [IpsForm(GRAM, Gt, label=f"{phi.label}^tw{ix[j]}")
+                   for phi, G in frontier for j, Gt in zip(*twists(G, 1e-14)) if fresh(Gt)]
             frontier = tuple((tw, tw.payload) for tw in new)
             kept += frontier
         return tuple(phi for phi, _ in kept), tuple(G for _, G in kept), tuple(norms), \
@@ -624,9 +670,9 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if family.balanced:
         # the twists that are neither zero nor a direction of the closure
         floor, units = 1e-12 * max(max(norms, default=0.0), 1.0), ctx.nonzero[1]
-        R0 = _right_mults(alg, tol)
+        twists = _twister(_right_mults(alg, tol))
         new = [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
-               for phi, G in ctx.untwisted for j, Gt in enumerate(_twisted_grams(G, R0))
+               for phi, G in ctx.untwisted for j, Gt in zip(*twists(G, floor))
                if not isinstance(_classify(Gt, units, floor, tol), str)]
         report.checks.append(CheckResult(
             "twist-stability", not new, {"closure_size": len(members)},
@@ -678,20 +724,30 @@ def degeneracy_residuals(a: Element, family: FormFamily, alg: QuasiAlgebraInstan
     first three agree for any family; the fourth joins only under the
     balanced closure policy with a unit.
     """
+    row = _degeneracy_rows(a.coeffs[None], family, alg, tol)[0]
+    return dict(zip(("r1", "r2", "r3", "r4", "scale"), map(float, row)))
+
+
+def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``degeneracy_residuals`` of each coefficient row of C, as the rows
+    [r1, r2, r3, r4, scale] of one array.  r1 is the spectral norm of the
+    Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest |eigenvalue|."""
     _, grams, norms = family.context(alg, tol).closure
     G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
     R0 = _right_mults(alg, tol)
     ix = np.asarray(alg.a0_indices)
-    AX = (R0 @ a.coeffs).T
-    GAX = G @ AX
-    Q = GAX[:, ix, :]
-    QH = Q.conj().transpose(0, 2, 1)
-    r1 = float(np.linalg.norm(np.concatenate([Q + QH, Q - QH]) / 2.0, 2, axis=(1, 2)).max(initial=0.0))
-    r2 = float(np.abs(Q).max(initial=0.0))
-    r3 = float((AX.conj() * GAX).sum(axis=1).real.max(initial=0.0))
-    r4 = float((G @ a.coeffs @ a.coeffs.conj()).real.max(initial=0.0))
-    scale = (1.0 + max(norms, default=0.0)) * (1.0 + a.norm_frobenius()) ** 2
-    return {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "scale": scale}
+    # AX[p, i, j] holds the coefficient i of a_p.x_j, GAX[g, p] = G_g AX[p]
+    AX = (R0 @ C.T).transpose(2, 1, 0)
+    GAX = G[:, None] @ AX
+    Q = GAX[:, :, ix, :]
+    QH = Q.conj().swapaxes(-1, -2)
+    parts = np.linalg.eigvalsh(np.stack([(Q + QH) / 2.0, (Q - QH) * -0.5j]))
+    r1 = np.abs(parts).max(axis=(0, 1, 3), initial=0.0)
+    r2 = np.abs(Q).max(axis=(0, 2, 3), initial=0.0)
+    r3 = (AX.conj() * GAX).sum(axis=2).real.max(axis=(0, 2), initial=0.0)
+    r4 = ((G @ C.T) * C.T.conj()).sum(axis=1).real.max(axis=0, initial=0.0)
+    scale = (1.0 + max(norms, default=0.0)) * (1.0 + np.linalg.norm(C @ alg._bmat.T, axis=1)) ** 2
+    return np.column_stack([r1, r2, r3, r4, scale])
 
 
 def check_sufficiency(family: FormFamily, alg: QuasiAlgebraInstance,
@@ -742,14 +798,13 @@ def check_sufficiency(family: FormFamily, alg: QuasiAlgebraInstance,
     agree = True
     iv_agree = True
     rows = []
-    for idx, pr in enumerate(probes):
-        res = degeneracy_residuals(pr, family, alg, tol)
-        thresh = tol.form * res["scale"]
-        z1, z2, z3, z4 = (res[k] <= thresh for k in ("r1", "r2", "r3", "r4"))
+    table = _degeneracy_rows(np.array([pr.coeffs for pr in probes]), family, alg, tol)
+    for idx, (*res, scale) in enumerate(table.tolist()):
+        z1, z2, z3, z4 = (r <= tol.form * scale for r in res)
         agree = agree and (z1 == z2 == z3)
         if family.balanced:
             iv_agree = iv_agree and (z4 == z1)
-        rows.append({"probe": idx, **{k: res[k] for k in ("r1", "r2", "r3", "r4")}})
+        rows.append({"probe": idx, **dict(zip(("r1", "r2", "r3", "r4"), res))})
     report.checks.append(CheckResult(
         "degeneracy-equivalence-i-iii", agree, {"probes": rows}))
     if family.balanced:

@@ -7,10 +7,12 @@ from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, ClosureViolation, EmptyFamily, FormFamily,
                       IpsForm, NotInA0, NotIps, ParseError,
                       QuasiAlgebraInstance, check_sufficiency, form_equal,
-                      form_proportional, invariance_residual, is_dense,
+                      degeneracy_residuals, form_proportional, invariance_residual, is_dense,
                       load_bundle, m_bounded_norms, twist, validate_family,
                       validate_ips_form)
 from qstarlab.report import dumps
+
+BUNDLES = ("m2_diag", "m2_full", "m3_pattern", "m2_flip", "lp_k2_p4")
 
 
 @pytest.fixture(scope="module")
@@ -454,3 +456,91 @@ def test_empty_family_rejected(m2):
 def test_no_dense_generator_raises(m2, bad):
     with pytest.raises(NotIps):
         bad.dense_forms(m2)
+
+
+def test_closure_member_labels_name_their_twists():
+    # each twist names the basis index that made it, so no two members of a
+    # closure share a label, at any depth
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=3, seed=5)
+    for inst, fam in pairs:
+        for depth in (0, 1, 2):
+            labels = [m.label for m in FormFamily(fam.seeds, True, depth).forms(inst)]
+            assert len(set(labels)) == len(labels), labels
+            assert all(label.rpartition("^tw")[2] in {str(i) for i in inst.a0_indices}
+                       for label in labels if "^tw" in label), labels
+
+
+def test_witness_values_cover_every_closure_member():
+    m3 = load_bundle("m3_pattern")["instance"]
+    v = np.array([0.0, 1.0, 1.0])
+    fam = FormFamily([IpsForm("vector_state", np.outer(v, v), label="xi011")], True, 1)
+    rep = check_sufficiency(fam, m3)
+    assert not rep.sufficient
+    assert list(rep.witness_values) == ["xi011", "xi011^tw1", "xi011^tw2"]
+    assert [m.label for m in fam.forms(m3)] == list(rep.witness_values)
+
+
+def test_stability_check_forms_only_the_twists_not_certified_zero(monkeypatch):
+    # the seed-8 pair's last closure round has 240 twists, 203 of them zero;
+    # the Frobenius certificate keeps those out of _twisted_grams
+    from qstarlab import forms
+    inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
+    ctx = fam.context(inst)
+    ctx.closure  # built first, so that only the stability check's twists are counted
+    rows = []
+    helper = forms._twisted_grams
+    monkeypatch.setattr(forms, "_twisted_grams", lambda G, R: rows.append(len(R)) or helper(G, R))
+    rep = validate_family(fam, inst)
+    assert next(c for c in rep.checks if c.name == "twist-stability").passed
+    assert len(rows) == len(ctx.untwisted)
+    assert sum(rows) <= 37
+
+
+def _svd_degeneracy_residuals(a, fam, alg):
+    """The one-probe residuals as spectral norms of the pairing matrix parts."""
+    _, grams, norms = fam.context(alg).closure
+    G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
+    R0, _ = alg.right_mult_table
+    AX = (R0 @ a.coeffs).T
+    GAX = G @ AX
+    Q = GAX[:, list(alg.a0_indices), :]
+    QH = Q.conj().transpose(0, 2, 1)
+    return {"r1": float(np.linalg.norm(np.concatenate([Q + QH, Q - QH]) / 2.0, 2,
+                                       axis=(1, 2)).max(initial=0.0)),
+            "r2": float(np.abs(Q).max(initial=0.0)),
+            "r3": float((AX.conj() * GAX).sum(axis=1).real.max(initial=0.0)),
+            "r4": float((G @ a.coeffs @ a.coeffs.conj()).real.max(initial=0.0)),
+            "scale": (1.0 + max(norms, default=0.0)) * (1.0 + a.norm_frobenius()) ** 2}
+
+
+def test_stacked_degeneracy_rows_match_the_one_probe_residuals():
+    # check_sufficiency decides all its probes from one stacked table; each
+    # row is degeneracy_residuals of that probe, and r1 read from eigenvalues
+    # is the spectral norm of the pairing matrix parts
+    from qstarlab.forms import _degeneracy_rows
+    from qstarlab.probes import random_probes
+    tol = DEFAULT_TOL
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=4, seed=2) + make_corpus(count=2, seed=8, n_min=8, n_max=8)
+    for inst, fam in pairs:
+        rep = check_sufficiency(fam, inst)
+        probes = [inst.unit, inst.basis_element(0), *random_probes(inst, 2)]
+        if rep.witness_coeffs is not None:
+            probes.append(inst.element(rep.witness_coeffs))
+        table = _degeneracy_rows(np.array([p.coeffs for p in probes]), fam, inst, tol)
+        agree, iv_agree = True, True
+        for row, probe, logged in zip(table, probes, rep.checks[0].data["probes"]):
+            one = degeneracy_residuals(probe, fam, inst)
+            ref = _svd_degeneracy_residuals(probe, fam, inst)
+            for k, key in enumerate(("r1", "r2", "r3", "r4", "scale")):
+                assert row[k] == pytest.approx(one[key], rel=1e-14, abs=1e-14 * ref["scale"])
+                assert row[k] == pytest.approx(ref[key], rel=1e-14, abs=1e-14 * ref["scale"])
+                if key != "scale":
+                    assert logged[key] == row[k]
+            z = [ref[key] <= tol.form * ref["scale"] for key in ("r1", "r2", "r3", "r4")]
+            agree = agree and z[0] == z[1] == z[2]
+            iv_agree = iv_agree and z[3] == z[0]
+        assert rep.checks[0].passed == agree
+        if fam.balanced:
+            assert rep.checks[1].passed == iv_agree

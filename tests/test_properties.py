@@ -165,3 +165,41 @@ def test_block_rank_never_exceeds_full_rank(seed, rank, off_block, noise_exp, sc
     G *= 10.0 ** scale_exp
     full, sub = gram_sections(G, _M3, DEFAULT_TOL)
     assert sub.w.size <= full.w.size
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=2, max_value=7),
+       st.integers(min_value=0, max_value=7), st.booleans(),
+       st.floats(min_value=-20.0, max_value=2.0), st.integers(min_value=-17, max_value=-4))
+@settings(max_examples=100, deadline=None)
+def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp):
+    # a Hermitian G of the given rank (PSD or indefinite) and right factors
+    # R_j whose columns lie in ker G, in it up to a small leak, anywhere, or
+    # nowhere (R_j = 0), with twists from 1e-150 to 1e150 and factors from
+    # 1e-50 to 1e50.  A twist the Frobenius certificate leaves out must be
+    # zero to _classify at the same floor, and a kept one must be the very
+    # matrix _twisted_grams forms for the whole stack
+    from qstarlab.forms import _classify, _twisted_grams, _twister
+    rng = np.random.default_rng(seed)
+    rank = min(rank, d)
+    V, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    w = rng.uniform(0.5, 2.0, rank) * (rng.choice([-1.0, 1.0], rank) if indefinite else 1.0)
+    G0 = (V[:, :rank] * w) @ V[:, :rank].conj().T
+    N = V[:, rank:]
+    F = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    R0 = np.stack([N @ N.conj().T @ F[0], N @ N.conj().T @ F[1] + 10.0 ** leak_exp * F[2],
+                   F[2], np.zeros((d, d))])
+    empty = np.empty((0, d, d), dtype=complex)
+    for twist_exp in (-150, -50, 0, 50, 150):
+        for r_exp in (-50, 0, 50):
+            G = G0 * 10.0 ** (twist_exp - 2 * r_exp)
+            G = (G + G.conj().T) / 2.0
+            R = R0 * 10.0 ** r_exp
+            floor = 10.0 ** (twist_exp + floor_exp)
+            keep, kept = _twister(R)(G, floor)
+            full = _twisted_grams(G, R)
+            assert np.array_equal(kept, full[keep])
+            for j in set(range(len(R))) - set(keep.tolist()):
+                assert _classify(full[j], empty, floor, DEFAULT_TOL) == "zero", (j, twist_exp, r_exp)
+            assert 3 not in keep
+            if rank < d and floor_exp >= -12.0:
+                assert 0 not in keep, (twist_exp, r_exp)
