@@ -48,21 +48,50 @@ def _as_complex_entry(value, source, field_name):
     raise ParseError(source, f"expected finite number or [re, im] pair, got {value!r}", field=field_name)
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _plain_complex_matrix(rows):
+    """The complex matrix of ``rows`` when it is a non-empty list of lists
+    whose entries are all finite plain ints and floats or all pairs of them,
+    converted as a whole; else None."""
+    if type(rows) is not list or not rows or any(type(row) is not list for row in rows):
+        return None
+    try:
+        arr = np.array(rows, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.ndim == 2:
+        leaves = {type(v) for row in rows for v in row}
+    elif arr.ndim == 3 and arr.shape[2] == 2:
+        leaves = {type(v) for row in rows for pair in row for v in pair}
+    else:
+        return None
+    if not leaves <= _PLAIN_NUMBERS or not np.isfinite(arr).all():
+        return None
+    return arr.astype(complex) if arr.ndim == 2 else arr.view(complex).reshape(arr.shape[:2])
+
+
 def parse_complex_matrix(rows, source, field_name, shape=None):
-    """Parse a nested list of numbers / [re, im] pairs into a complex array."""
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(source, "expected a non-empty list of rows", field=field_name)
-    mat = []
-    width = None
-    for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ParseError(source, f"row {r} is not a list", field=field_name)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(source, f"row {r} has length {len(row)}, expected {width}", field=field_name)
-        mat.append([_as_complex_entry(v, source, field_name) for v in row])
-    out = np.array(mat, dtype=complex)
+    """Parse a nested list of numbers / [re, im] pairs into a complex array.
+    Input that is not plain numbers or pairs throughout is parsed entry by
+    entry, and the first unusable row or entry is named."""
+    out = _plain_complex_matrix(rows)
+    if out is None:
+        if not isinstance(rows, list) or not rows:
+            raise ParseError(source, "expected a non-empty list of rows", field=field_name)
+        mat = []
+        width = None
+        for r, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ParseError(source, f"row {r} is not a list", field=field_name)
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(source, f"row {r} has length {len(row)}, expected {width}",
+                                 field=field_name)
+            mat.append([_as_complex_entry(v, source, field_name) for v in row])
+        out = np.array(mat, dtype=complex)
     if shape is not None and out.shape != shape:
         raise ParseError(source, f"matrix has shape {out.shape}, expected {shape}", field=field_name)
     return out
@@ -71,6 +100,14 @@ def parse_complex_matrix(rows, source, field_name, shape=None):
 def complex_matrix_jsonable(mat):
     """Emit a complex matrix as nested [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+
+
+def _pinv_and_singular_values(M):
+    """``(np.linalg.pinv(M), singular values of M)`` from one SVD: numpy's own
+    pseudo-inverse formula at its default rcond 1e-15, so bit for bit its result."""
+    u, sv, vt = np.linalg.svd(M.conj(), full_matrices=False)
+    sinv = np.divide(1.0, sv, where=sv > 1e-15 * sv.max(initial=0.0), out=np.zeros_like(sv))
+    return vt.T @ (sinv[:, None] * u.T), sv
 
 
 class QuasiAlgebraInstance:
@@ -114,14 +151,20 @@ class QuasiAlgebraInstance:
         # stacked vectorized basis: columns are vec(a_i)
         self._bmat = np.column_stack([m.reshape(-1) for m in self.basis])
         self._bmat.setflags(write=False)
-        self._pinv = np.linalg.pinv(self._bmat)
+        # the singular values are the ones structure validation reads
+        self._pinv, self._singular_values = _pinv_and_singular_values(self._bmat)
         self._pinv.setflags(write=False)
-        sub = np.column_stack([self.basis[i].reshape(-1) for i in self.a0_indices])
-        self._pinv_a0 = np.linalg.pinv(sub)
-        self._bmat_a0 = sub
+        self._bmat_a0 = self._bmat[:, list(self.a0_indices)]
+
+    @cached_property
+    def _pinv_a0(self):
+        return _pinv_and_singular_values(self._bmat_a0)[0]
+
+    @cached_property
+    def _star(self):
         star = np.column_stack([m.conj().T.reshape(-1) for m in self.basis])
         S = self._pinv @ star
-        self._star = (S, float(np.abs(self._bmat @ S - star).max(initial=0.0)))
+        return S, float(np.abs(self._bmat @ S - star).max(initial=0.0))
 
     # -- membership ---------------------------------------------------------
 
@@ -270,6 +313,12 @@ def scaled_rows(C):
         return (parts / s[:, None]).view(complex), s
 
 
+def spectral_norm(M) -> float:
+    """|M|_2, the largest singular value of a matrix: ``np.linalg.norm(M, 2)``
+    bit for bit, without the dispatch that costs as much as the SVD itself."""
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
 def hermitian_mask(mats, tol: float = 1e-10):
     """Whether each matrix of a stack is Hermitian relative to its norm.  At absolute
     noise level it is: cancellation can leave a skew residue of order eps."""
@@ -376,7 +425,7 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
     checks = []
     n, d = alg.n, alg.dim
 
-    sv = np.linalg.svd(alg._bmat, compute_uv=False)
+    sv = alg._singular_values
     smax = float(sv[0]) if len(sv) else 0.0
     smin = float(sv[-1]) if len(sv) else 0.0
     ratio = smin / smax if smax > 0 else 0.0

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance, hermitian_mask, scaled_rows
+from .algebra import Element, QuasiAlgebraInstance, hermitian_mask, scaled_rows, spectral_norm
 from .errors import (AmbiguousProduct, CharacterizationMismatch, FamilyNotBalanced,
                      NotSufficient, NotWellDefined, ProductOverflow)
 from .forms import FormFamily, _hermitian_part, _right_mults
@@ -76,10 +76,10 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
     for phi, G, (full, _) in zip(family.seeds, ctx.seed_grams, ctx.sections):
         # the pairing matrix Q[j, k] = phi(a.x_k, x_j) over the subalgebra basis
         Q = (G @ AX)[a0_idx, :]
-        scale = max(float(np.linalg.norm(Q, 2)),
+        scale = max(spectral_norm(Q),
                     full.wmax * max(a.norm_frobenius(), 1.0) * 1e-8, 1e-300)
         K = (Q - Q.conj().T) / 2.0
-        herm_res = float(np.linalg.norm(K, 2)) / scale
+        herm_res = spectral_norm(K) / scale
         H = (Q + Q.conj().T) / 2.0
         w, V = np.linalg.eigh(H)
         min_eig = float(w.min()) if w.size else 0.0
@@ -128,17 +128,17 @@ def cone_intersection_null(family: FormFamily, alg: QuasiAlgebraInstance,
         # column i is vec(Q) for the basis element a_i: Q[j, k] = GR[k, j, i]
         GR = G[np.asarray(alg.a0_indices), :] @ R0
         M = GR.transpose(1, 0, 2).reshape(n0 * n0, alg.dim)
-        gn = float(np.linalg.norm(M, 2))
+        gn = spectral_norm(M)
         if gn > 0:
             blocks.append(M / gn)
     N = _null_basis(np.vstack(blocks), tol.rank)
     dim_null = N.shape[1]
-    suff = family.sufficiency(alg, tol)
+    suff_dim_null = family.context(alg, tol).separation[0]
     return {
         "dim": dim_null,
         "basis_coeffs": list(N.T),
-        "matches_sufficiency": (dim_null == 0) == suff.sufficient,
-        "sufficiency_dim_null": suff.dim_null,
+        "matches_sufficiency": (dim_null == 0) == (suff_dim_null == 0),
+        "sufficiency_dim_null": suff_dim_null,
     }
 
 
@@ -160,6 +160,9 @@ class NormReport:
         }
 
 
+_ROUTES = ("gns", "pencil", "quadratic")
+
+
 def m_bounded_norm(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
                    tol: ToleranceConfig = DEFAULT_TOL) -> NormReport:
     """Norm of a bounded element: the one-row case of ``m_bounded_norms``."""
@@ -179,17 +182,44 @@ def m_bounded_norms(C, family: FormFamily, alg: QuasiAlgebraInstance,
     the whole stack.  The first row whose routes disagree beyond the
     cross-check tolerance, or hold a NaN, raises ``CharacterizationMismatch``.
     """
-    suff = family.sufficiency(alg, tol)
-    if not suff.sufficient:
+    s, values, herm, per_seed = _norm_routes(C, family, alg, tol)
+    per_seed = [(label, *(x.tolist() for x in rows)) for label, *rows in per_seed]
+    reports = []
+    for r, (sr, row) in enumerate(zip(s.tolist(), values.T.tolist())):
+        routes = {name: sr * v for name, v in zip(_ROUTES, row[:3 if herm[r] else 2])}
+        per_form = [{"label": label, "pencil": sr * pen[r],
+                     "quadratic": sr * q[r] if herm[r] else None, "null_leak": leak[r]}
+                    for label, pen, q, leak in per_seed]
+        reports.append(NormReport(value=routes["pencil"], routes=routes,
+                                  per_form=per_form, hermitian=bool(herm[r])))
+    return reports
+
+
+def m_bounded_values(C, family: FormFamily, alg: QuasiAlgebraInstance,
+                     tol: ToleranceConfig = DEFAULT_TOL):
+    """``(values, hermitian)``: the ``value`` and ``hermitian`` fields of
+    ``m_bounded_norms``' reports, as arrays, with the same checks and errors."""
+    s, values, herm, _ = _norm_routes(C, family, alg, tol)
+    return s * values[1], herm
+
+
+def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``(s, values, hermitian, per_seed)`` for the rows of C: each row's scale
+    s, the (3, k) route values on the scaled rows (gns, pencil, quadratic), the
+    Hermitian mask, and per seed (label, pencil, quadratic, leak) arrays.
+    Raises for an insufficient family and for the first row whose routes
+    disagree or hold a NaN."""
+    ctx = family.context(alg, tol)
+    dim_null = ctx.separation[0]
+    if dim_null:
         raise NotSufficient(
             f"family {family.label!r} does not separate points "
-            f"(null dimension {suff.dim_null}); the norm is not definite")
+            f"(null dimension {dim_null}); the norm is not definite")
 
     # the norm is homogeneous: compute on each row / s and scale back
     X, s = scaled_rows(C)
     mats = (X @ np.reshape(alg.basis, (alg.dim, -1))).reshape(-1, alg.n, alg.n)
     herm, fro2 = hermitian_mask(mats), np.linalg.norm(mats, axis=(1, 2)) ** 2
-    ctx = family.context(alg, tol)
     # AX[r] = (R0 @ x_r).T: column j holds the coefficients of x_r.x_j
     AX = (_right_mults(alg, tol) @ X.T).transpose(2, 1, 0)
     a0_idx, hix = np.asarray(alg.a0_indices), np.flatnonzero(herm)
@@ -209,7 +239,7 @@ def m_bounded_norms(C, family: FormFamily, alg: QuasiAlgebraInstance,
             q[hix] = np.abs(np.linalg.eigvalsh(_hermitian_part(Qs))).max(axis=1, initial=0.0)
         # np.maximum, unlike max, lets a NaN through to the check below
         pencil, quad = np.maximum(pencil, pen), np.maximum(quad, q)
-        per_seed.append((phi.label, pen.tolist(), q.tolist(), leak_rel.tolist()))
+        per_seed.append((phi.label, pen, q, leak_rel))
     gns = np.zeros_like(pencil)
     for rep in ctx.reps:
         gns = np.maximum(gns, rep.rep_norm(X))
@@ -220,19 +250,12 @@ def m_bounded_norms(C, family: FormFamily, alg: QuasiAlgebraInstance,
     ref = np.where(finite, pencil, 0.0)
     values = np.stack([gns, pencil, np.where(herm, quad, ref)])
     off = np.abs(values - ref) > tol.cross_check * np.maximum(1.0, ref)
-    bad = np.isnan(values).any(axis=0) | (finite & off.any(axis=0))
-    reports = []
-    for r, (sr, row) in enumerate(zip(s.tolist(), values.T.tolist())):
-        routes = {name: sr * v for name, v in zip(("gns", "pencil", "quadratic"),
-                                                   row[:3 if herm[r] else 2])}
-        if bad[r]:
-            raise CharacterizationMismatch(routes)
-        per_form = [{"label": label, "pencil": sr * pen[r],
-                     "quadratic": sr * q[r] if herm[r] else None, "null_leak": leak[r]}
-                    for label, pen, q, leak in per_seed]
-        reports.append(NormReport(value=routes["pencil"], routes=routes,
-                                  per_form=per_form, hermitian=bool(herm[r])))
-    return reports
+    bad = np.flatnonzero(np.isnan(values).any(axis=0) | (finite & off.any(axis=0)))
+    if bad.size:
+        r = int(bad[0])
+        raise CharacterizationMismatch({name: float(s[r]) * v for name, v in
+                                        zip(_ROUTES, values[:3 if herm[r] else 2, r].tolist())})
+    return s, values, herm, per_seed
 
 
 @dataclass
@@ -293,9 +316,12 @@ def weak_products(A, B, family: FormFamily, alg: QuasiAlgebraInstance,
     ASh, step = AS.conj().transpose(0, 2, 1), max(1, 2 ** 13 // M.shape[0])
     c, resid = np.empty((alg.dim, len(BX)), dtype=complex), np.empty((2, len(BX)))
     for sl in (slice(lo, lo + step) for lo in range(0, len(BX), step)):
-        r = np.stack([BX[sl] @ u.T @ ASh[sl] for u in units], axis=1).reshape(-1, M.shape[0]).T
-        c[:, sl] = Vh.conj().T @ ((Uh @ r) / s[:, None])
-        resid[:, sl] = np.sqrt([(np.abs(x) ** 2).sum(axis=0) for x in (M @ c[:, sl] - r, r)])
+        rt = np.stack([BX[sl] @ u.T @ ASh[sl] for u in units], axis=1).reshape(-1, M.shape[0])
+        c[:, sl] = Vh.conj().T @ ((Uh @ rt.T) / s[:, None])
+        # column norms as sums of squares of the real and imaginary parts
+        D = (M @ c[:, sl] - rt.T).view(float).reshape(M.shape[0], -1, 2)
+        R = rt.view(float)
+        resid[:, sl] = np.sqrt([np.einsum("ijk,ijk->j", D, D), np.einsum("ij,ij->i", R, R)])
     e = k[0] + k[1]
     with np.errstate(over="ignore"):
         c = np.ldexp(np.ascontiguousarray(c.T).view(float), e[:, None]).view(complex)
@@ -373,7 +399,7 @@ def _same_subspace(N1, N2, tol_val):
         return False, float("inf")
     if N1.shape[1] == 0:
         return True, 0.0
-    gap = float(np.linalg.norm(N1 @ N1.conj().T - N2 @ N2.conj().T, 2))
+    gap = spectral_norm(N1 @ N1.conj().T - N2 @ N2.conj().T)
     return gap <= tol_val, gap
 
 
@@ -402,7 +428,7 @@ def radical(family: FormFamily, alg: QuasiAlgebraInstance,
         "gram-sum-vs-stacked", same12, {"gap": gap12}))
 
     if ctx.dense_seeds:
-        blocks = [B / bn for B in ctx.rep_blocks if (bn := float(np.linalg.norm(B, 2))) > 0]
+        blocks = [B / bn for B in ctx.rep_blocks if (bn := spectral_norm(B)) > 0]
         N3 = _null_basis(np.vstack(blocks), tol.rank)
         same13, gap13 = _same_subspace(N1, N3, 1e-6)
         report.checks.append(CheckResult(
@@ -428,17 +454,18 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
     Ps = P.conj() @ alg.star_matrix()[0].T
     n, m = len(P), min(len(P), 8)
     left, right = np.divmod(np.arange(m * m), m)
-    first = m_bounded_norms(np.vstack([P, Ps, P[left] + P[right]]), family, alg, tol)
-    norms = [rep.value for rep in first[:n]]
-    table = [{"probe": idx, "norm": rep.value, "hermitian": rep.hermitian}
-             for idx, rep in enumerate(first[:n])]
+    first, herm = m_bounded_values(np.vstack([P, Ps, P[left] + P[right]]), family, alg, tol)
+    first = first.tolist()
+    norms = first[:n]
+    table = [{"probe": idx, "norm": v, "hermitian": bool(h)}
+             for idx, (v, h) in enumerate(zip(norms, herm))]
 
     # max([0.0, *values]) skips a NaN the way a running max from 0.0 does
-    worst_star = max([0.0, *(abs(rep.value - v) / max(v, 1.0)
-                             for rep, v in zip(first[n:2 * n], norms))])
+    worst_star = max([0.0, *(abs(value - v) / max(v, 1.0)
+                             for value, v in zip(first[n:2 * n], norms))])
     bounds = [norms[i] + norms[j] for i, j in zip(left, right)]
-    worst_tri = max([0.0, *((rep.value - b) / max(b, 1.0)
-                            for rep, b in zip(first[2 * n:], bounds))])
+    worst_tri = max([0.0, *((value - b) / max(b, 1.0)
+                            for value, b in zip(first[2 * n:], bounds))])
 
     # the pairs (i, j), then the squares a_i* o a_i
     try:
@@ -450,16 +477,16 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
         if isinstance(out, ProductOverflow):
             raise out
     kept = [(idx, out[0].coeffs) for idx, out in enumerate(prods) if isinstance(out, tuple)]
-    found = m_bounded_norms(np.reshape([c for _, c in kept], (len(kept), alg.dim)),
-                            family, alg, tol)
+    found, _ = m_bounded_values(np.reshape([c for _, c in kept], (len(kept), alg.dim)),
+                                family, alg, tol)
     worst_sub = worst_cstar = 0.0
-    for (idx, _), rep in zip(kept, found):
+    for (idx, _), value in zip(kept, found.tolist()):
         if idx < m * m:
             bound = norms[left[idx]] * norms[right[idx]]
-            worst_sub = max(worst_sub, (rep.value - bound) / max(bound, 1.0))
+            worst_sub = max(worst_sub, (value - bound) / max(bound, 1.0))
         else:
             sq = norms[idx - m * m] ** 2
-            worst_cstar = max(worst_cstar, abs(rep.value - sq) / max(sq, 1.0))
+            worst_cstar = max(worst_cstar, abs(value - sq) / max(sq, 1.0))
     checks = [
         CheckResult("star-isometry", worst_star <= tol.cross_check * 10,
                     {"worst_relative_gap": worst_star}),

@@ -9,6 +9,7 @@ discrete-function model with a frozen extremal value.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -17,6 +18,7 @@ from .errors import ParseError
 from .forms import FormFamily
 
 
+@functools.cache
 def _bundle_dir():
     return resources.files("qstarlab").joinpath("bundled")
 
@@ -24,6 +26,16 @@ def _bundle_dir():
 def bundle_names():
     return sorted(p.name[:-len(".json")] for p in _bundle_dir().iterdir()
                   if p.name.endswith(".json"))
+
+
+def _bundle_file(name: str):
+    """The shipped ``<name>.json``, or None when no bundle has that name.  A
+    bundle's name is a plain file stem, so a name holding a path separator
+    is none, whatever file it would reach."""
+    if not name or "/" in name or "\\" in name:
+        return None
+    path = _bundle_dir().joinpath(f"{name}.json")
+    return path if path.is_file() else None
 
 
 def parse_payload(payload, source: str):
@@ -50,8 +62,9 @@ def load_bundle(name: str) -> dict:
     description text.
     """
     source = f"bundled:{name}"
-    if name not in bundle_names():
+    path = _bundle_file(name)
+    if path is None:
         raise ParseError(source, f"unknown bundle; available: {', '.join(bundle_names())}")
-    payload = json.loads(_bundle_dir().joinpath(f"{name}.json").read_text())
+    payload = json.loads(path.read_text())
     inst, families, description = parse_payload(payload, source)
     return {"name": name, "description": description, "instance": inst, "families": families}

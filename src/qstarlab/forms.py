@@ -34,13 +34,14 @@ when either changes; nothing needs clearing by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import (Element, QuasiAlgebraInstance, _is_int, complex_matrix_jsonable,
-                      parse_complex_matrix, scaled_rows)
+                      parse_complex_matrix, scaled_rows, spectral_norm)
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
 from .probes import random_probes
 from .report import CheckResult, all_passed
@@ -123,8 +124,8 @@ def form_equal(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
                tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Extensional equality: the two Gram matrices agree within tolerance."""
     Gp, Gq = phi.gram(alg), psi.gram(alg)
-    scale = max(float(np.linalg.norm(Gp, 2)), float(np.linalg.norm(Gq, 2)), 1e-300)
-    return float(np.linalg.norm(Gp - Gq, 2)) <= tol.form * scale
+    scale = max(spectral_norm(Gp), spectral_norm(Gq), 1e-300)
+    return spectral_norm(Gp - Gq) <= tol.form * scale
 
 
 def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
@@ -133,7 +134,7 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
     at a different overall scale; every consumer either normalizes per
     form or is scale covariant, so closures treat multiples as duplicates."""
     Gp, Gq = phi.gram(alg), psi.gram(alg)
-    nq = float(np.linalg.norm(Gq, 2))
+    nq = spectral_norm(Gq)
     return _classify(Gp, (Gq / nq)[None], 0.0, tol) == "known" if nq else not Gp.any()
 
 
@@ -147,27 +148,30 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     |G/|G|_2 - K|_2 <= 2e / (a - e) and 2e <= tol.form (a - e) certifies K;
     as |G|_2 <= |G|_F, e > sqrt(d) tol.form |G|_F rules K out.  A spectral
     norm is taken only between those tests and for a new direction."""
-    parts, rd = np.ravel(G).view(float), np.sqrt(len(G))
+    parts, rd = np.ravel(G).view(float), math.sqrt(len(G))
     s = float(np.abs(parts).max(initial=0.0)) or 1.0
     g = parts / s
-    f = float(np.sqrt(g @ g))
-    if s * f <= floor or (s * f <= rd * floor and float(np.linalg.norm(G, 2)) <= floor):
+    f = math.sqrt(g @ g)
+    if s * f <= floor or (s * f <= rd * floor and spectral_norm(G) <= floor):
         return "zero"
+    if not len(units):
+        return spectral_norm(G)
     K = units.reshape(len(units), G.size).view(float)
     kk = np.einsum("ij,ij->i", K, K)
     a = (K @ g) / kk
-    if a.size:
-        # the unit at the smallest angle first: its e is the full test's, bit for bit
-        k = int(np.argmax(a * a * kk))
-        e = np.linalg.norm((g - a[k] * K[k])[None], axis=1)
-        if 2.0 * e[0] <= tol.form * (a[k] - e[0]):
-            return "known"
-    e = np.linalg.norm(g - a[:, None] * K, axis=1)
+    # the unit at the smallest angle first: its e is the full test's, bit for bit
+    k = int(np.argmax(a * a * kk))
+    D = g - a[k] * K[k]
+    e = math.sqrt(np.einsum("i,i", D, D))
+    if 2.0 * e <= tol.form * (a[k] - e):
+        return "known"
+    D = g - a[:, None] * K
+    e = np.sqrt(np.einsum("ij,ij->i", D, D))
     if np.any(2.0 * e <= tol.form * (a - e)):
         return "known"
-    gn = float(np.linalg.norm(G, 2))
+    gn = spectral_norm(G)
     near = units[e <= rd * tol.form * f]
-    return "known" if any(float(np.linalg.norm(G / gn - U, 2)) <= tol.form for U in near) else gn
+    return "known" if any(spectral_norm(G / gn - U) <= tol.form for U in near) else gn
 
 
 def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
@@ -265,7 +269,7 @@ def _psd_margins(mats):
     """Per matrix of a stack: (hermiticity residual, min eig, max |eig|).  The
     residual is relative to the spectral norm, taken only off exact symmetry."""
     skew = mats - mats.conj().transpose(0, 2, 1)
-    herm = [float(np.linalg.norm(D, 2)) / max(float(np.linalg.norm(M, 2)), 1e-300)
+    herm = [spectral_norm(D) / max(spectral_norm(M), 1e-300)
             if D.any() else 0.0 for M, D in zip(mats, skew)]
     w = np.linalg.eigvalsh((mats + mats.conj().transpose(0, 2, 1)) / 2.0)
     return np.array(herm), w.min(axis=1, initial=np.inf), np.abs(w).max(axis=1, initial=0.0)
@@ -326,24 +330,30 @@ def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
     Returns ``(residual, scale)``; the identity is required of every stored
     form and is what lets representation matrices act on the quotient.
     """
-    worst, scale = _invariance_residuals(phi.gram(alg)[None], alg, tol)
+    G = phi.gram(alg)
+    # a Hermitian matrix's spectral norm is its largest |eigenvalue|
+    top = np.abs(np.linalg.eigvalsh(G)).max(initial=0.0)
+    worst, scale = _invariance_residuals(G[None], [top], alg, tol)
     return float(worst[0]), float(scale[0])
 
 
-def _invariance_residuals(grams, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
-    """``invariance_residual`` of each Hermitian Gram of a stack, as arrays."""
+def _invariance_residuals(grams, tops, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``invariance_residual`` of each Hermitian Gram of a stack, as arrays,
+    given each Gram's spectral norm in ``tops``."""
     R0 = _right_mults(alg, tol)
     Sstar, _ = alg.star_matrix()
     ix = np.asarray(alg.a0_indices)
-    P = Sstar.conj().T @ R0.conj().transpose(0, 2, 1)
-    # lhs[j, k, i] = phi(a_i x_j, x_k) and rhs[j, k, i] = phi(x_j, a_i^H x_k), one Gram
-    # at a time: the whole stack's arrays would set the process's peak memory
-    worst = [np.abs(G[ix, :] @ R0 - (P @ G[:, ix]).transpose(2, 0, 1)).max(initial=0.0)
+    n0, d = R0.shape[:2]
+    # one GEMM per side and Gram: lhs[k, j, i] = phi(a_i x_j, x_k) from the columns
+    # (j, i) of Rc, rhs[k, i, j] = phi(x_j, a_i^H x_k) from the rows (k, i) of Pc.
+    # One Gram at a time: the whole stack's arrays would set the process's peak memory
+    Rc = R0.transpose(1, 0, 2).reshape(d, n0 * d)
+    Pc = (Sstar.conj().T @ R0.conj().transpose(0, 2, 1)).reshape(n0 * d, d)
+    worst = [np.abs((G[ix, :] @ Rc).reshape(n0, n0, d)
+                    - (Pc @ G[:, ix]).reshape(n0, d, n0).transpose(0, 2, 1)).max(initial=0.0)
              for G in grams]
     bnorm = max(float(np.linalg.norm(b)) for b in alg.basis)
-    # a Hermitian matrix's spectral norm is its largest |eigenvalue|
-    top = np.abs(np.linalg.eigvalsh(grams)).max(axis=1, initial=0.0)
-    return np.array(worst), (1.0 + top) * (1.0 + bnorm) ** 2
+    return np.array(worst), (1.0 + np.asarray(tops, dtype=float)) * (1.0 + bnorm) ** 2
 
 
 def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
@@ -356,9 +366,9 @@ def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
     of the subalgebra image in the quotient, decided by Gram ranks.
     """
     G = phi.gram(alg)
-    inv_res, inv_scale = _invariance_residuals(G[None], alg, tol)
-    return _form_report(phi, gram_sections(G, alg, tol), inv_res[0], inv_scale[0],
-                        tol, require_density)
+    sections = gram_sections(G, alg, tol)
+    inv_res, inv_scale = _invariance_residuals(G[None], [sections[0].wmax], alg, tol)
+    return _form_report(phi, sections, inv_res[0], inv_scale[0], tol, require_density)
 
 
 def _form_report(phi: IpsForm, sections, inv_res, inv_scale, tol: ToleranceConfig,
@@ -560,6 +570,27 @@ class FamilyContext:
         return w, V, w <= self.tol.rank * max(wmax, 1e-300)
 
     @cached_property
+    def separation(self):
+        """``(dim_null, margin, witness)`` of the Gram sum: its null dimension,
+        its smallest eigenvalue relative to its largest, and, for a family that
+        does not separate points, ``(coeffs, {label: value})``: a null direction
+        scaled to unit Frobenius norm and its value under every member; else None."""
+        if not self.seeds:
+            raise EmptyFamily("family has no generators")
+        w, V, null_mask = self.gram_sum
+        dim_null = int(np.sum(null_mask))
+        wmax = float(np.abs(w).max(initial=0.0))
+        margin = (float(w.min()) if w.size else 0.0) / max(wmax, 1e-300)
+        if not dim_null:
+            return dim_null, margin, None
+        witness = self.alg.element(V[:, 0])
+        nf = witness.norm_frobenius()
+        if nf > 0:
+            witness = witness * (1.0 / nf)
+        return dim_null, margin, (witness.coeffs, {phi.label: float(phi.eval(witness, witness).real)
+                                                   for phi in self.closure[0]})
+
+    @cached_property
     def sections(self):
         """Per seed, the ``(full, sub)`` quotient sections of ``gram_sections``."""
         return tuple(gram_sections(G, self.alg, self.tol) for G in self.seed_grams)
@@ -646,7 +677,8 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if not family.seeds:
         raise EmptyFamily("family has no generators")
     ctx = family.context(alg, tol)
-    seed_res, seed_scale = _invariance_residuals(np.array(ctx.seed_grams), alg, tol)
+    seed_res, seed_scale = _invariance_residuals(
+        ctx.seed_grams, [full.wmax for full, _ in ctx.sections], alg, tol)
     report = FamilyReport(label=family.label, balanced=family.balanced,
                           twist_depth=family.twist_depth,
                           seed_reports=[_form_report(*args, tol, require_density=False)
@@ -660,7 +692,7 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
                        dtype=complex).reshape(-1, alg.dim, alg.dim)
     herm_res, wmin, wmax = _psd_margins(derived)
     worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
-    inv_res, inv_scale = _invariance_residuals(derived, alg, tol)
+    inv_res, inv_scale = _invariance_residuals(derived, wmax, alg, tol)
     worst_inv = float(np.max(inv_res / inv_scale, initial=0.0))
     report.checks.append(CheckResult(
         "closure-positivity", worst_pos <= tol.psd, {"worst_relative_defect": worst_pos}))
@@ -760,38 +792,21 @@ def check_sufficiency(family: FormFamily, alg: QuasiAlgebraInstance,
     four-way degeneracy equivalence is exercised on the witness and on a
     small deterministic probe set.
     """
-    if not family.seeds:
-        raise EmptyFamily("family has no generators")
-    ctx = family.context(alg, tol)
-    forms = ctx.closure[0]
+    dim_null, margin, witness = family.context(alg, tol).separation
     quantifier = ("closure of the generators under basis twists"
                   if family.balanced else "stored generators, no twisting")
-
-    w, V, null_mask = ctx.gram_sum
-    wmax = float(np.abs(w).max(initial=0.0))
-    dim_null = int(np.sum(null_mask))
-    sufficient = dim_null == 0
-    margin = (float(w.min()) if w.size else 0.0) / max(wmax, 1e-300)
-
     report = SufficiencyReport(
-        label=family.label, sufficient=sufficient, dim_null=dim_null,
+        label=family.label, sufficient=dim_null == 0, dim_null=dim_null,
         margin=margin, depth=family.twist_depth if family.balanced else 0,
         quantifier=quantifier,
     )
 
     probes = [alg.unit, alg.basis_element(0), *random_probes(alg, 2)]
-
-    if not sufficient:
-        wc = V[:, 0]
-        witness = alg.element(wc)
-        nf = witness.norm_frobenius()
-        if nf > 0:
-            witness = witness * (1.0 / nf)
-        report.witness_coeffs = witness.coeffs
-        for phi in forms:
-            report.witness_values[phi.label] = float(phi.eval(witness, witness).real)
-        report.max_witness_value = max(report.witness_values.values(), default=0.0)
-        probes.append(witness)
+    if witness is not None:
+        report.witness_coeffs, values = witness
+        report.witness_values = dict(values)
+        report.max_witness_value = max(values.values(), default=0.0)
+        probes.append(alg.element(report.witness_coeffs))
 
     # four-way equivalence: the zero verdicts of r1/r2/r3 must agree on
     # every probe; r4 joins them when the family is balanced

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance
+from .algebra import Element, QuasiAlgebraInstance, spectral_norm
 from .errors import NotIps, ZeroForm
 from .forms import GRAM, IpsForm, _hermitian_part, _right_mults, gram_sections
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -123,4 +123,4 @@ def represent(phi: IpsForm, G, sections, alg: QuasiAlgebraInstance,
 def reconstruction_defect(rep: GnsRep) -> float:
     """Relative Gram distance between the form and its cyclic reconstruction."""
     G, H = rep.gram, rep.vector_form().gram(rep.alg)
-    return float(np.linalg.norm(G - H, 2)) / max(float(np.linalg.norm(G, 2)), 1e-300)
+    return spectral_norm(G - H) / max(spectral_norm(G), 1e-300)

@@ -88,11 +88,7 @@ class DiscreteLpAlgebra:
 
     def weight_norm(self, w, p: float) -> float:
         """The conjugate-index size of a weight vector against the measure."""
-        s = conjugate_index(p)
-        w = np.asarray(w, dtype=float)
-        if np.isinf(s):
-            return float(np.abs(w).max(initial=0.0))
-        return float(np.sum(np.abs(w) ** s * self.masses) ** (1.0 / s))
+        return _weight_norm(w, p, self.masses)
 
     def weight_form(self, w, label: str = "") -> IpsForm:
         w = np.asarray(w, dtype=float)
@@ -113,10 +109,22 @@ class DiscreteLpAlgebra:
         return FormFamily(gens, balanced=False, label=label or f"points-p{p:g}")
 
     def lp_norm(self, values, p: float) -> float:
-        v = np.abs(np.asarray(values, dtype=complex))
-        p = float(p)
-        conjugate_index(p)  # validates the exponent range
-        return float(np.sum(v ** p * self.masses) ** (1.0 / p))
+        return _lp_norm(values, p, self.masses)
+
+
+def _weight_norm(w, p: float, masses) -> float:
+    s = conjugate_index(p)
+    w = np.asarray(w, dtype=float)
+    if np.isinf(s):
+        return float(np.abs(w).max(initial=0.0))
+    return float(np.sum(np.abs(w) ** s * masses) ** (1.0 / s))
+
+
+def _lp_norm(values, p: float, masses) -> float:
+    v = np.abs(np.asarray(values, dtype=complex))
+    p = float(p)
+    conjugate_index(p)  # validates the exponent range
+    return float(np.sum(v ** p * masses) ** (1.0 / p))
 
 
 def holder_sup(values, p: float, masses) -> dict:
@@ -127,11 +135,11 @@ def holder_sup(values, p: float, masses) -> dict:
     attains as a consistency field.  A supremum that overflows or
     underflows the float range raises ``OutOfFloatRange``.
     """
-    model = DiscreteLpAlgebra.build(masses)
+    m = _check_masses(masses)
     s = conjugate_index(p)
     v = np.abs(np.asarray(values, dtype=complex))
-    if v.shape != (model.k,):
-        raise BadMeasure(f"expected {model.k} point values, got shape {v.shape}")
+    if v.shape != m.shape:
+        raise BadMeasure(f"expected {m.size} point values, got shape {v.shape}")
     vmax = float(v.max(initial=0.0))
     if vmax == 0.0:
         raise ZeroFunction("the extremal weight is undefined for the zero function")
@@ -141,17 +149,17 @@ def holder_sup(values, p: float, masses) -> dict:
     # powers of u neither overflow nor, at the largest point, underflow
     u = v / vmax
     with np.errstate(over="ignore"):
-        unit_norm = model.lp_norm(u, p)
+        unit_norm = _lp_norm(u, p, m)
         norm_p = np.float64(vmax) * unit_norm  # a numpy float, so its square may be inf
         sup_val = float(norm_p ** 2)
     if not 0.0 < sup_val < np.inf:
         raise OutOfFloatRange(f"the squared {p:g}-norm of f is outside the float range "
                               f"(norm {norm_p:.3e})")
     if np.isinf(s):
-        w_star = np.ones(model.k)
+        w_star = np.ones(m.size)
     else:
         w_star = u ** (p - 2.0) / unit_norm ** (p - 2.0)
-    attained = float(np.sum(u ** 2 * w_star * model.masses)) * vmax * vmax
+    attained = float(np.sum(u ** 2 * w_star * m)) * vmax * vmax
     return {
         "p": float(p),
         "conjugate_index": s,
@@ -159,7 +167,7 @@ def holder_sup(values, p: float, masses) -> dict:
         "seminorm": float(norm_p),
         "extremal_weight": w_star,
         "attained": attained,
-        "weight_ball_norm": model.weight_norm(w_star, p),
+        "weight_ball_norm": _weight_norm(w_star, p, m),
     }
 
 
@@ -173,14 +181,14 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
     exactly by golden-section search; the slice problems are concave, the
     sphere has no flat spots, and the cycle stalls only at the optimum.
     """
-    model = DiscreteLpAlgebra.build(masses)
+    m = _check_masses(masses)
+    k = m.size
     s = conjugate_index(p)
     v = np.abs(np.asarray(values, dtype=complex))
     with np.errstate(over="ignore"):
-        g = v ** 2 * model.masses
+        g = v ** 2 * m
     if not np.all(np.isfinite(g)):
         raise OutOfFloatRange("|f|^2 m overflows the float range")
-    m = model.masses
 
     def value(w):
         return float(np.sum(g * w))
@@ -188,10 +196,10 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
     rng = np.random.default_rng(seed)
 
     if np.isinf(s):
-        best_w = np.ones(model.k)
+        best_w = np.ones(k)
         best = value(best_w)
         for _ in range(4):
-            w = rng.uniform(0.0, 1.0, size=model.k)
+            w = rng.uniform(0.0, 1.0, size=k)
             if value(w) > best:
                 best, best_w = value(w), w
         return {"sup_estimate": best, "weight": best_w, "sweeps": 0}
@@ -200,7 +208,7 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
         w = np.clip(w, 0.0, None)
         nn = float(np.sum(w ** s * m) ** (1.0 / s))
         if nn == 0.0:
-            w = np.ones(model.k)
+            w = np.ones(k)
             nn = float(np.sum(w ** s * m) ** (1.0 / s))
         return w / nn
 
@@ -210,15 +218,15 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
     golden = float((np.sqrt(5.0) - 1.0) / 2.0)
     r = 1.0 / s
     gl, ml = g.tolist(), m.tolist()
-    w = normalize(np.ones(model.k))
+    w = normalize(np.ones(k))
     best = value(w)
     best_w = w.copy()
     done = 0
     for sweep in range(sweeps):
         before = value(w)
         wl = w.tolist()
-        for i in range(model.k):
-            for j in range(i + 1, model.k):
+        for i in range(k):
+            for j in range(i + 1, k):
                 # redistribute the i/j share of the constraint along the
                 # slice; t is the share that goes to i
                 g_i, g_j, m_i, m_j = gl[i], gl[j], ml[i], ml[j]
@@ -279,11 +287,11 @@ def ball_lower_seminorm_nonneg(values, p: float, masses) -> float:
     Equals the L^(p/2)(m) norm of f; complex phases break the identity, so
     callers must keep probes nonnegative.
     """
-    model = DiscreteLpAlgebra.build(masses)
+    m = _check_masses(masses)
     v = np.asarray(values, dtype=float)
     if np.any(v < 0.0):
         raise BadMeasure("the closed form holds for nonnegative point values only")
     q = p / 2.0
     if q == 1.0:
-        return float(np.sum(v * model.masses))
-    return float(np.sum(v ** q * model.masses) ** (1.0 / q))
+        return float(np.sum(v * m))
+    return float(np.sum(v ** q * m) ** (1.0 / q))

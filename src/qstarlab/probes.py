@@ -12,10 +12,11 @@ DEFAULT_SEED = 0xA11CE
 def random_probes(alg: QuasiAlgebraInstance, count: int, seed: int = DEFAULT_SEED):
     """Up to ``count`` seeded random elements, each scaled to unit Frobenius
     norm; a draw that is exactly zero is skipped."""
-    rng = np.random.default_rng(seed)
+    # one draw, the same stream as a real and an imaginary part per probe in turn
+    Z = np.random.default_rng(seed).standard_normal((max(count, 0), 2, alg.dim))
     out = []
-    for _ in range(count):
-        e = alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+    for re, im in Z:
+        e = alg.element(re + 1j * im)
         nf = e.norm_frobenius()
         if nf > 0:
             out.append(e * (1.0 / nf))

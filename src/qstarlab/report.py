@@ -8,6 +8,7 @@ as [re, im] pairs, and no timing or host information enters the JSON payload.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,58 +75,103 @@ _ESCAPES = str.maketrans({**{chr(c): f"\\u{c:04x}" for c in range(0x20)},
 
 
 def _escape(s: str) -> str:
+    # most strings need no escape, and these checks cost less than translate
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return s
     return s.translate(_ESCAPES)
 
 
 def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+    """Deterministic JSON text with 17-significant-digit floats, in one pass:
+    numpy scalars and arrays, complex values and tuples are emitted as
+    ``jsonable`` converts them, and each key as its ``str``."""
     pieces = []
-    _emit(jsonable(obj), pieces, indent, 0)
+    _emit(obj, pieces, indent, 0)
     return "".join(pieces)
 
 
+@functools.cache
+def _pads(indent: int, level: int):
+    """The indentation of a container's items at ``level`` and of its closing bracket."""
+    return " " * (indent * (level + 1)), " " * (indent * level)
+
+
+def _scalar(v):
+    """The JSON text of a bool, None, int or float, numpy's and 0-d arrays
+    included, or None for any other value."""
+    if type(v) is float:
+        return _format_float(v)
+    if v is True or v is False or isinstance(v, np.bool_):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, np.integer):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _format_float(float(v))
+    if isinstance(v, np.ndarray) and v.ndim == 0:
+        return _scalar(v.item())
+    return None
+
+
 def _emit(obj, pieces, indent, level):
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        pieces.append(_format_float(obj))
-    elif isinstance(obj, str):
+    cls = type(obj)
+    if cls is str:
         pieces.append(f'"{_escape(obj)}"')
-    elif isinstance(obj, dict):
+    elif cls is float:
+        pieces.append(_format_float(obj))
+    elif cls is dict:
         if not obj:
             pieces.append("{}")
             return
+        start, (pad, closepad) = len(pieces), _pads(indent, level)
         pieces.append("{\n")
+        last = len(obj) - 1
         for i, (k, v) in enumerate(obj.items()):
-            pieces.append(f'{pad}"{_escape(str(k))}": ')
+            if type(k) is not str:
+                # keys become their str, and a later duplicate replaces the value
+                del pieces[start:]
+                _emit({str(k): v for k, v in obj.items()}, pieces, indent, level)
+                return
+            pieces.append(f'{pad}"{_escape(k)}": ')
             _emit(v, pieces, indent, level + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+            pieces.append(",\n" if i < last else "\n")
         pieces.append(closepad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif cls is list or cls is tuple:
         if not obj:
             pieces.append("[]")
             return
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
-        if flat and len(obj) <= 16:
-            inner = ", ".join(
-                _format_float(v) if isinstance(v, float) else
-                ("true" if v is True else "false" if v is False else
-                 "null" if v is None else str(v))
-                for v in obj
-            )
-            pieces.append(f"[{inner}]")
-            return
+        if len(obj) <= 16:
+            flat = []
+            for v in obj:
+                if (text := _scalar(v)) is None:
+                    break
+                flat.append(text)
+            else:
+                pieces.append(f"[{', '.join(flat)}]")
+                return
+        pad, closepad = _pads(indent, level)
         pieces.append("[\n")
+        last = len(obj) - 1
         for i, v in enumerate(obj):
             pieces.append(pad)
             _emit(v, pieces, indent, level + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+            pieces.append(",\n" if i < last else "\n")
         pieces.append(closepad + "]")
+    elif (text := _scalar(obj)) is not None:
+        pieces.append(text)
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), pieces, indent, level)
+    elif isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        pieces.append(f"[{_format_float(z.real)}, {_format_float(z.imag)}]")
+    elif isinstance(obj, str):
+        pieces.append(f'"{_escape(str.__str__(obj))}"')
+    elif isinstance(obj, dict):
+        _emit({str(k): v for k, v in obj.items()}, pieces, indent, level)
+    elif isinstance(obj, (list, tuple)):
+        _emit(list(obj), pieces, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")

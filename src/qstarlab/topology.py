@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance, scaled_rows
-from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_norms
+from .algebra import Element, QuasiAlgebraInstance, scaled_rows, spectral_norm
+from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_values
 from .errors import EmptyFamily, NotIps, NotSufficient
 from .forms import FormFamily, _hermitian_part, _right_mult_of, _right_mults, _twisted_grams
 from .report import CheckResult, all_passed
@@ -121,7 +121,7 @@ def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
     the subalgebra, where a.x need not stay in the span.
     """
     R = _right_mult_of(x, tol)
-    slack = tol.psd * max(1.0, float(np.linalg.norm(R, 2)) ** 2)
+    slack = tol.psd * max(1.0, spectral_norm(R) ** 2)
     ctx = family.context(alg, tol)
     worst = 0.0
     for G, sec in zip(ctx.closure[1], ctx.member_sections):
@@ -212,23 +212,23 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
         probes = [alg.basis_element(i) for i in range(alg.dim)]
         probes += [p.star() for p in probes]
 
-    suff = family.sufficiency(alg, tol)
-    sep_data = {"dim_null": suff.dim_null, "margin": suff.margin}
-    if not suff.sufficient and suff.witness_coeffs is not None:
+    dim_null, margin, witness = family.context(alg, tol).separation
+    sufficient = dim_null == 0
+    sep_data = {"dim_null": dim_null, "margin": margin}
+    if witness is not None:
         # the witness is a nonzero element invisible to every member
-        sep_data["witness_coeffs"] = [[float(z.real), float(z.imag)]
-                                      for z in suff.witness_coeffs]
-        sep_data["max_witness_value"] = suff.max_witness_value
-    report.conditions.append(CheckResult("separates-points", suff.sufficient,
-                                         sep_data))
+        coeffs, values = witness
+        sep_data["witness_coeffs"] = [[float(z.real), float(z.imag)] for z in coeffs]
+        sep_data["max_witness_value"] = max(values.values(), default=0.0)
+    report.conditions.append(CheckResult("separates-points", sufficient, sep_data))
 
-    bounded_ok = suff.sufficient
+    bounded_ok = sufficient
     max_norm = 0.0
-    if suff.sufficient:
+    if sufficient:
         try:
-            reps = m_bounded_norms(np.eye(alg.dim)[list(alg.a0_indices)], family, alg, tol)
-            max_norm = max([0.0, *(rep.value for rep in reps)])
-            bounded_ok = all(np.isfinite(rep.value) for rep in reps)
+            values = m_bounded_values(np.eye(alg.dim)[list(alg.a0_indices)], family, alg, tol)[0]
+            max_norm = max([0.0, *values.tolist()])
+            bounded_ok = bool(np.isfinite(values).all())
         except (NotSufficient, NotIps):
             bounded_ok = False
     report.conditions.append(CheckResult(

@@ -7,6 +7,8 @@ from qstarlab import (DEFAULT_TOL, ClosureViolation, DependentBasis,
                       MissingUnit, NotInA0, ParseError, QuasiAlgebraInstance,
                       ensure_valid, hermitian_parts, load_bundle,
                       module_product, validate_structure)
+from qstarlab.algebra import spectral_norm
+from qstarlab.bundled import bundle_names
 from qstarlab.report import dumps
 
 from corpus import make_corpus
@@ -270,3 +272,25 @@ def test_mult_matrices_represent_products(m2):
     a = m2.element(c)
     assert np.allclose(m2.element(R @ c).matrix, a.matrix @ x.matrix)
     assert np.allclose(m2.element(L @ c).matrix, x.matrix @ a.matrix)
+
+
+def test_pseudo_inverses_are_numpys_bit_for_bit():
+    # the instance builds both pseudo-inverses by numpy's own formula, on
+    # the one SVD whose singular values structure validation reports
+    insts = [load_bundle(name)["instance"] for name in bundle_names()]
+    for seed in (1, 2, 3):
+        insts += [inst for inst, _ in make_corpus(seed=seed)]
+    for inst in insts:
+        assert np.array_equal(inst._pinv, np.linalg.pinv(inst._bmat)), inst.label
+        assert np.array_equal(inst._pinv_a0, np.linalg.pinv(inst._bmat_a0)), inst.label
+        sv = np.linalg.svd(inst._bmat, compute_uv=False)
+        assert np.allclose(inst._singular_values, sv, rtol=1e-13, atol=0.0), inst.label
+
+
+def test_spectral_norm_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 7, 16, 40):
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            X = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for M in (X, X + X.conj().T, X.real, X[:, : d // 2 + 1]):
+                assert spectral_norm(M) == np.linalg.norm(M, 2), (d, scale)

@@ -11,7 +11,9 @@ from qstarlab import (DEFAULT_TOL, AmbiguousProduct, CharacterizationMismatch,
                       cone_witness_element, extract_bounded_algebra,
                       load_bundle, m_bounded_norm, radical,
                       weak_product)
-from qstarlab.bounded import _null_basis
+from qstarlab.bounded import _null_basis, m_bounded_norms, m_bounded_values
+from qstarlab.forms import check_sufficiency
+from qstarlab.topology import ga_star_check
 
 
 def svd_full(M):
@@ -353,3 +355,35 @@ def test_bounded_algebra_laws(m2, good):
     out = extract_bounded_algebra(good, m2, probes)
     for c in out["checks"]:
         assert c["passed"], c
+
+
+def test_insufficient_family_reads_the_separation_verdict(m2, bad):
+    # the norm and the qualification read the family's separation data,
+    # not the sufficiency report with its degeneracy self-check; both still
+    # give the report's numbers
+    suff = check_sufficiency(bad, m2)
+    with pytest.raises(NotSufficient) as err:
+        m_bounded_norm(m2.unit, bad, m2)
+    assert str(err.value) == (f"family {bad.label!r} does not separate points "
+                              f"(null dimension {suff.dim_null}); the norm is not definite")
+    sep = ga_star_check(bad, m2).as_dict()["conditions"][0]
+    assert sep["name"] == "separates-points" and not sep["passed"]
+    assert sep["data"] == {"dim_null": suff.dim_null, "margin": suff.margin,
+                           "witness_coeffs": [[z.real, z.imag] for z in suff.witness_coeffs],
+                           "max_witness_value": suff.max_witness_value}
+
+
+def test_norm_values_are_the_reports_fields(m2, good, monkeypatch):
+    C = np.vstack([np.eye(m2.dim), [_rand_elem(m2, s).coeffs for s in range(5)]])
+    C[-1] *= 1e-200
+    values, herm = m_bounded_values(C, good, m2)
+    reports = m_bounded_norms(C, good, m2)
+    assert values.tolist() == [rep.value for rep in reports]
+    assert herm.tolist() == [rep.hermitian for rep in reports]
+    monkeypatch.setattr(GnsRep, "rep_norm", lambda self, a: np.full(len(a), np.nan))
+    raised = []
+    for fn in (m_bounded_values, m_bounded_norms):
+        with pytest.raises(CharacterizationMismatch) as err:
+            fn(C, good, m2)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]

@@ -152,6 +152,18 @@ def test_unknown_source_is_exit_2():
     assert "unknown bundle" in out.stderr
 
 
+def test_only_shipped_bundle_names_load():
+    # a bundle is looked up as <dir>/<name>.json; a name that reaches a
+    # shipped file by another spelling is still no bundle's name
+    unknown = main("validate", "bundled:no_such_bundle").stderr.replace("no_such_bundle", "{}")
+    for name in ("../bundled/m2_diag", str(BUNDLES / "m2_diag"), "./m2_diag", "m2_diag.json",
+                 "", "m2_diag/", "M2_DIAG"):
+        out = main("validate", f"bundled:{name}")
+        assert out.returncode == 2, name
+        assert out.stdout == "" and out.stderr == unknown.format(name), name
+    assert main("validate", "bundled:m2_diag").returncode == 0
+
+
 def test_bad_element_syntax_is_exit_2():
     out = run("norm", "bundled:m2_diag", "--family", "good",
               "--element", "basis:notanumber")

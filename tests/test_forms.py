@@ -544,3 +544,37 @@ def test_stacked_degeneracy_rows_match_the_one_probe_residuals():
         assert rep.checks[0].passed == agree
         if fam.balanced:
             assert rep.checks[1].passed == iv_agree
+
+
+def test_invariance_residuals_match_the_batched_products_bit_for_bit():
+    # two plain GEMMs per Gram give the residuals of the (j, k, i) batched
+    # products exactly, with the same pairing of lhs and rhs entries
+    from qstarlab.forms import _invariance_residuals, _right_mults
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=6, seed=3) + make_corpus(count=2, seed=8, n_min=8, n_max=8)
+    for inst, fam in pairs:
+        grams = fam.context(inst).closure[1]
+        R0, (S, _) = _right_mults(inst, DEFAULT_TOL), inst.star_matrix()
+        ix = np.asarray(inst.a0_indices)
+        P = S.conj().T @ R0.conj().transpose(0, 2, 1)
+        ref = [np.abs(G[ix, :] @ R0 - (P @ G[:, ix]).transpose(2, 0, 1)).max(initial=0.0)
+               for G in grams]
+        tops = [np.abs(np.linalg.eigvalsh(G)).max() for G in grams]
+        worst, scale = _invariance_residuals(grams, tops, inst, DEFAULT_TOL)
+        assert worst.tolist() == ref
+        bnorm = max(np.linalg.norm(b) for b in inst.basis)
+        assert scale.tolist() == [(1.0 + t) * (1.0 + bnorm) ** 2 for t in tops]
+
+
+def test_random_probes_are_the_per_probe_draws():
+    from qstarlab.probes import random_probes
+    for inst in [load_bundle(name)["instance"] for name in BUNDLES] + \
+            [inst for inst, _ in make_corpus(count=4, seed=2)]:
+        for count, seed in ((2, 0xA11CE), (5, 7), (0, 1)):
+            rng = np.random.default_rng(seed)
+            ref = [inst.element(rng.standard_normal(inst.dim) + 1j * rng.standard_normal(inst.dim))
+                   for _ in range(count)]
+            got = random_probes(inst, count, seed)
+            assert len(got) == count
+            for e, r in zip(got, ref):
+                assert np.array_equal(e.coeffs, (r * (1.0 / r.norm_frobenius())).coeffs)

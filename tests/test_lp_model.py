@@ -197,3 +197,23 @@ def test_oracle_iterates_are_pinned_to_the_bit(values, p, masses, sup_hex,
     assert out["sup_estimate"].hex() == sup_hex
     assert [float(x).hex() for x in out["weight"]] == weight_hex
     assert out["sweeps"] == sweeps
+
+
+def test_closed_forms_need_no_instance(monkeypatch):
+    # the sup, the oracle and the ball seminorm read the masses alone; only
+    # the generic norm route builds the k-point algebra
+    from qstarlab import lp_model
+    built = []
+    build = lp_model.build_lp_instance
+    monkeypatch.setattr(lp_model, "build_lp_instance", lambda k: built.append(k) or build(k))
+    for p, m, f in CASES:
+        holder_sup(f, p, m)
+        weight_ascent_oracle(f, p, m)
+        ball_lower_seminorm_nonneg(np.abs(f), p, m)
+    assert built == []
+    lp_bounded_norm([1.0, 2.0], 4.0, [0.5, 0.5])
+    assert built == [2]
+    for call in (holder_sup, weight_ascent_oracle):
+        for masses in ([], [0.5, -0.5], [0.5, float("nan")]):
+            with pytest.raises(BadMeasure):
+                call([1.0, 2.0][: len(masses)] or [1.0], 4.0, masses)
