@@ -48,50 +48,21 @@ def _as_complex_entry(value, source, field_name):
     raise ParseError(source, f"expected finite number or [re, im] pair, got {value!r}", field=field_name)
 
 
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
-def _plain_complex_matrix(rows):
-    """The complex matrix of ``rows`` when it is a non-empty list of lists
-    whose entries are all finite plain ints and floats or all pairs of them,
-    converted as a whole; else None."""
-    if type(rows) is not list or not rows or any(type(row) is not list for row in rows):
-        return None
-    try:
-        arr = np.array(rows, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if arr.ndim == 2:
-        leaves = {type(v) for row in rows for v in row}
-    elif arr.ndim == 3 and arr.shape[2] == 2:
-        leaves = {type(v) for row in rows for pair in row for v in pair}
-    else:
-        return None
-    if not leaves <= _PLAIN_NUMBERS or not np.isfinite(arr).all():
-        return None
-    return arr.astype(complex) if arr.ndim == 2 else arr.view(complex).reshape(arr.shape[:2])
-
-
 def parse_complex_matrix(rows, source, field_name, shape=None):
-    """Parse a nested list of numbers / [re, im] pairs into a complex array.
-    Input that is not plain numbers or pairs throughout is parsed entry by
-    entry, and the first unusable row or entry is named."""
-    out = _plain_complex_matrix(rows)
-    if out is None:
-        if not isinstance(rows, list) or not rows:
-            raise ParseError(source, "expected a non-empty list of rows", field=field_name)
-        mat = []
-        width = None
-        for r, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise ParseError(source, f"row {r} is not a list", field=field_name)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(source, f"row {r} has length {len(row)}, expected {width}",
-                                 field=field_name)
-            mat.append([_as_complex_entry(v, source, field_name) for v in row])
-        out = np.array(mat, dtype=complex)
+    """Parse a nested list of numbers / [re, im] pairs into a complex array."""
+    if not isinstance(rows, list) or not rows:
+        raise ParseError(source, "expected a non-empty list of rows", field=field_name)
+    mat = []
+    width = None
+    for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ParseError(source, f"row {r} is not a list", field=field_name)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(source, f"row {r} has length {len(row)}, expected {width}", field=field_name)
+        mat.append([_as_complex_entry(v, source, field_name) for v in row])
+    out = np.array(mat, dtype=complex)
     if shape is not None and out.shape != shape:
         raise ParseError(source, f"matrix has shape {out.shape}, expected {shape}", field=field_name)
     return out

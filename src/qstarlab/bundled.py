@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from importlib import resources
 
 from .algebra import QuasiAlgebraInstance
@@ -29,10 +30,10 @@ def bundle_names():
 
 
 def _bundle_file(name: str):
-    """The shipped ``<name>.json``, or None when no bundle has that name.  A
-    bundle's name is a plain file stem, so a name holding a path separator
-    is none, whatever file it would reach."""
-    if not name or "/" in name or "\\" in name:
+    """The shipped ``<name>.json``, or None when no bundle has that name.  The
+    shipped names are lower-case letters, digits and underscores, so any other
+    name is none, whatever file it would reach."""
+    if not re.fullmatch(r"[a-z0-9_]+", name):
         return None
     path = _bundle_dir().joinpath(f"{name}.json")
     return path if path.is_file() else None

@@ -8,7 +8,6 @@ as [re, im] pairs, and no timing or host information enters the JSON payload.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -75,25 +74,16 @@ _ESCAPES = str.maketrans({**{chr(c): f"\\u{c:04x}" for c in range(0x20)},
 
 
 def _escape(s: str) -> str:
-    # most strings need no escape, and these checks cost less than translate
-    if s.isprintable() and '"' not in s and "\\" not in s:
-        return s
     return s.translate(_ESCAPES)
 
 
 def dumps(obj, indent: int = 2) -> str:
     """Deterministic JSON text with 17-significant-digit floats, in one pass:
-    numpy scalars and arrays, complex values and tuples are emitted as
-    ``jsonable`` converts them, and each key as its ``str``."""
+    values that are not plain JSON types are written as ``jsonable``
+    converts them."""
     pieces = []
     _emit(obj, pieces, indent, 0)
     return "".join(pieces)
-
-
-@functools.cache
-def _pads(indent: int, level: int):
-    """The indentation of a container's items at ``level`` and of its closing bracket."""
-    return " " * (indent * (level + 1)), " " * (indent * level)
 
 
 def _scalar(v):
@@ -117,6 +107,8 @@ def _scalar(v):
 
 
 def _emit(obj, pieces, indent, level):
+    pad = " " * (indent * (level + 1))
+    closepad = " " * (indent * level)
     cls = type(obj)
     if cls is str:
         pieces.append(f'"{_escape(obj)}"')
@@ -126,14 +118,13 @@ def _emit(obj, pieces, indent, level):
         if not obj:
             pieces.append("{}")
             return
-        start, (pad, closepad) = len(pieces), _pads(indent, level)
+        start = len(pieces)
         pieces.append("{\n")
         last = len(obj) - 1
         for i, (k, v) in enumerate(obj.items()):
             if type(k) is not str:
-                # keys become their str, and a later duplicate replaces the value
                 del pieces[start:]
-                _emit({str(k): v for k, v in obj.items()}, pieces, indent, level)
+                _emit(jsonable(obj), pieces, indent, level)
                 return
             pieces.append(f'{pad}"{_escape(k)}": ')
             _emit(v, pieces, indent, level + 1)
@@ -152,7 +143,6 @@ def _emit(obj, pieces, indent, level):
             else:
                 pieces.append(f"[{', '.join(flat)}]")
                 return
-        pad, closepad = _pads(indent, level)
         pieces.append("[\n")
         last = len(obj) - 1
         for i, v in enumerate(obj):
@@ -162,16 +152,10 @@ def _emit(obj, pieces, indent, level):
         pieces.append(closepad + "]")
     elif (text := _scalar(obj)) is not None:
         pieces.append(text)
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), pieces, indent, level)
-    elif isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        pieces.append(f"[{_format_float(z.real)}, {_format_float(z.imag)}]")
     elif isinstance(obj, str):
-        pieces.append(f'"{_escape(str.__str__(obj))}"')
-    elif isinstance(obj, dict):
-        _emit({str(k): v for k, v in obj.items()}, pieces, indent, level)
-    elif isinstance(obj, (list, tuple)):
-        _emit(list(obj), pieces, indent, level)
+        pieces.append(f'"{_escape(obj)}"')
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        conv = jsonable(obj)
+        if conv is obj:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        _emit(conv, pieces, indent, level)

@@ -157,7 +157,7 @@ def test_only_shipped_bundle_names_load():
     # shipped file by another spelling is still no bundle's name
     unknown = main("validate", "bundled:no_such_bundle").stderr.replace("no_such_bundle", "{}")
     for name in ("../bundled/m2_diag", str(BUNDLES / "m2_diag"), "./m2_diag", "m2_diag.json",
-                 "", "m2_diag/", "M2_DIAG"):
+                 "", "m2_diag/", "M2_DIAG", "m2_diag.", "m2_diag "):
         out = main("validate", f"bundled:{name}")
         assert out.returncode == 2, name
         assert out.stdout == "" and out.stderr == unknown.format(name), name
