@@ -7,8 +7,8 @@ from .algebra import (Element, QuasiAlgebraInstance, ValidationReport,
 from .bounded import (ConeReport, NormReport, RadicalReport, WeakProductReport,
                       check_condition_product, cone_intersection_null,
                       cone_membership, cone_witness_element,
-                      extract_bounded_algebra, m_bounded_norm, m_bounded_norms,
-                      m_bounded_values, radical, weak_product, weak_products)
+                      extract_bounded_algebra, m_bounded_norm, m_bounded_values,
+                      radical, weak_product, weak_products)
 from .bundled import bundle_names, load_bundle
 from .errors import (AmbiguousProduct, BadExponent, BadMeasure,
                      CharacterizationMismatch, ClosureViolation, DependentBasis,

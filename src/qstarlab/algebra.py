@@ -290,12 +290,12 @@ def spectral_norm(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def hermitian_mask(mats, tol: float = 1e-10):
-    """Whether each matrix of a stack is Hermitian relative to its norm.  At absolute
-    noise level it is: cancellation can leave a skew residue of order eps."""
+def hermitian_mask(mats):
+    """Whether each matrix of a stack is Hermitian to 1e-10 relative to its norm.  At
+    absolute noise level it is: cancellation can leave a skew residue of order eps."""
     nrm = np.linalg.norm(mats, axis=(1, 2))
     skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
-    return (nrm <= 1e-12) | (skew <= tol * nrm)
+    return (nrm <= 1e-12) | (skew <= 1e-10 * nrm)
 
 
 class Element:
@@ -330,8 +330,8 @@ class Element:
     def norm_frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(hermitian_mask(self.matrix[None], tol)[0])
+    def is_hermitian(self) -> bool:
+        return bool(hermitian_mask(self.matrix[None])[0])
 
     def in_a0(self, tol: ToleranceConfig = DEFAULT_TOL):
         """Return (member, a0_coeffs, residual) for A0 membership."""
@@ -407,7 +407,7 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
     ))
 
     unit_mat = alg.basis[alg.unit_index]
-    unit_res = float(np.linalg.norm(unit_mat - np.eye(n))) / max(np.sqrt(n), 1.0)
+    unit_res = float(np.linalg.norm(unit_mat - np.eye(n))) / max(math.sqrt(n), 1.0)
     unit_in_a0 = alg.unit_index in alg.a0_indices
     checks.append(CheckResult(
         "unit-element",

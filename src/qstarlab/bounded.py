@@ -148,7 +148,6 @@ class NormReport:
     routes: dict
     per_form: list
     hermitian: bool
-    checks: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -156,7 +155,6 @@ class NormReport:
             "routes": dict(self.routes),
             "hermitian": self.hermitian,
             "per_form": self.per_form,
-            "checks": [c.as_dict() for c in self.checks],
         }
 
 
@@ -165,40 +163,31 @@ _ROUTES = ("gns", "pencil", "quadratic")
 
 def m_bounded_norm(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
                    tol: ToleranceConfig = DEFAULT_TOL) -> NormReport:
-    """Norm of a bounded element: the one-row case of ``m_bounded_norms``."""
-    return m_bounded_norms(a.coeffs[None], family, alg, tol)[0]
-
-
-def m_bounded_norms(C, family: FormFamily, alg: QuasiAlgebraInstance,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Norms of the rows of a (k, d) coefficient stack, each computed
-    redundantly and cross-checked; each row is scaled on its own.
+    """Norm of a bounded element, computed redundantly and cross-checked.
 
     Requires a sufficient family.  The pencil route runs over every
     generator; twisted members never raise the Rayleigh quotient because
     twisting restricts the admissible vectors, so generators settle the
     supremum.  The representation route runs over the generators with a
-    dense quotient.  Each route takes one batched LAPACK call per seed for
-    the whole stack.  The first row whose routes disagree beyond the
-    cross-check tolerance, or hold a NaN, raises ``CharacterizationMismatch``.
+    dense quotient.  Routes that disagree beyond the cross-check tolerance,
+    or hold a NaN, raise ``CharacterizationMismatch``.
     """
-    s, values, herm, per_seed = _norm_routes(C, family, alg, tol)
-    per_seed = [(label, *(x.tolist() for x in rows)) for label, *rows in per_seed]
-    reports = []
-    for r, (sr, row) in enumerate(zip(s.tolist(), values.T.tolist())):
-        routes = {name: sr * v for name, v in zip(_ROUTES, row[:3 if herm[r] else 2])}
-        per_form = [{"label": label, "pencil": sr * pen[r],
-                     "quadratic": sr * q[r] if herm[r] else None, "null_leak": leak[r]}
-                    for label, pen, q, leak in per_seed]
-        reports.append(NormReport(value=routes["pencil"], routes=routes,
-                                  per_form=per_form, hermitian=bool(herm[r])))
-    return reports
+    s, values, herm, per_seed = _norm_routes(a.coeffs[None], family, alg, tol)
+    s, herm = s.item(), bool(herm[0])
+    routes = {name: s * v for name, v in zip(_ROUTES, values[:3 if herm else 2, 0].tolist())}
+    per_form = [{"label": label, "pencil": s * pen.item(),
+                 "quadratic": s * q.item() if herm else None, "null_leak": leak.item()}
+                for label, pen, q, leak in per_seed]
+    return NormReport(value=routes["pencil"], routes=routes, per_form=per_form, hermitian=herm)
 
 
 def m_bounded_values(C, family: FormFamily, alg: QuasiAlgebraInstance,
                      tol: ToleranceConfig = DEFAULT_TOL):
-    """``(values, hermitian)``: the ``value`` and ``hermitian`` fields of
-    ``m_bounded_norms``' reports, as arrays, with the same checks and errors."""
+    """``(values, hermitian)`` for the rows of a (k, d) coefficient stack: the
+    ``value`` and ``hermitian`` fields of each row's ``m_bounded_norm``, as
+    arrays.  Each row is scaled on its own, and each route takes one batched
+    LAPACK call per seed for the whole stack.  The first row whose routes
+    disagree, or hold a NaN, raises as ``m_bounded_norm`` does on that row."""
     s, values, herm, _ = _norm_routes(C, family, alg, tol)
     return s * values[1], herm
 
@@ -448,24 +437,13 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
     Verifies, over the probes: star invariance of the norm, the triangle
     inequality, submultiplicativity across weak products, and the
     square-of-norm identity for a* o a.  Pairs whose weak product does not
-    resolve are recorded and skipped.  Norms and products are taken as stacks.
+    resolve are recorded and skipped.  The products are solved first, so
+    every norm the laws need is taken in one stack.
     """
     P = np.reshape([p.coeffs for p in probes], (len(probes), alg.dim))
     Ps = P.conj() @ alg.star_matrix()[0].T
     n, m = len(P), min(len(P), 8)
     left, right = np.divmod(np.arange(m * m), m)
-    first, herm = m_bounded_values(np.vstack([P, Ps, P[left] + P[right]]), family, alg, tol)
-    first = first.tolist()
-    norms = first[:n]
-    table = [{"probe": idx, "norm": v, "hermitian": bool(h)}
-             for idx, (v, h) in enumerate(zip(norms, herm))]
-
-    # max([0.0, *values]) skips a NaN the way a running max from 0.0 does
-    worst_star = max([0.0, *(abs(value - v) / max(v, 1.0)
-                             for value, v in zip(first[n:2 * n], norms))])
-    bounds = [norms[i] + norms[j] for i, j in zip(left, right)]
-    worst_tri = max([0.0, *((value - b) / max(b, 1.0)
-                            for value, b in zip(first[2 * n:], bounds))])
 
     # the pairs (i, j), then the squares a_i* o a_i
     try:
@@ -477,10 +455,23 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
         if isinstance(out, ProductOverflow):
             raise out
     kept = [(idx, out[0].coeffs) for idx, out in enumerate(prods) if isinstance(out, tuple)]
-    found, _ = m_bounded_values(np.reshape([c for _, c in kept], (len(kept), alg.dim)),
-                                family, alg, tol)
+
+    # one stack: the probes, their adjoints, the pairwise sums, the products
+    values, herm = m_bounded_values(np.vstack([P, Ps, P[left] + P[right], *(c for _, c in kept)]),
+                                    family, alg, tol)
+    values = values.tolist()
+    norms, found = values[:n], values[2 * n + m * m:]
+    table = [{"probe": idx, "norm": v, "hermitian": bool(h)}
+             for idx, (v, h) in enumerate(zip(norms, herm))]
+
+    # max([0.0, *values]) skips a NaN the way a running max from 0.0 does
+    worst_star = max([0.0, *(abs(value - v) / max(v, 1.0)
+                             for value, v in zip(values[n:2 * n], norms))])
+    bounds = [norms[i] + norms[j] for i, j in zip(left, right)]
+    worst_tri = max([0.0, *((value - b) / max(b, 1.0)
+                            for value, b in zip(values[2 * n:2 * n + m * m], bounds))])
     worst_sub = worst_cstar = 0.0
-    for (idx, _), value in zip(kept, found.tolist()):
+    for (idx, _), value in zip(kept, found):
         if idx < m * m:
             bound = norms[left[idx]] * norms[right[idx]]
             worst_sub = max(worst_sub, (value - bound) / max(bound, 1.0))

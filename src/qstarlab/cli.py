@@ -312,14 +312,15 @@ def _render_text(obj, indent=0, lines=None):
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, val in obj.items():
-            if isinstance(val, (dict, list)) and val:
+            if isinstance(val, (dict, list, tuple)) and val:
                 lines.append(f"{pad}{key}:")
                 _render_text(val, indent + 1, lines)
             else:
                 lines.append(f"{pad}{key}: {val}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
+        # a tuple is a JSON array, as in ``report.dumps``
         for val in obj:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 _render_text(val, indent + 1, lines)
             else:

@@ -477,7 +477,11 @@ class FormFamily:
             if phi.label == phi.kind:
                 phi = IpsForm(phi.kind, phi.payload, label=f"phi{i}")
             gens.append(phi)
-        return cls(gens, balanced=bool(payload.get("balanced", False)),
+        balanced = payload.get("balanced", False)
+        if not isinstance(balanced, bool):
+            raise ParseError(source, f"balanced must be true or false, got {balanced!r}",
+                             field="balanced")
+        return cls(gens, balanced=balanced,
                    twist_depth=_checked_depth(payload.get("twist_depth", 1), source),
                    label=str(payload.get("label", "family")))
 
@@ -545,6 +549,9 @@ class FamilyContext:
         kept = [(phi, G) for phi, G in pairs if fresh(G)]
         frontier = pairs
         for _ in range(self.depth):
+            if not frontier:
+                # a round that added nothing leaves nothing to twist
+                break
             # 1e-14 is the smallest floor fresh uses, so a twist certified below it is zero
             new = [IpsForm(GRAM, Gt, label=f"{phi.label}^tw{ix[j]}")
                    for phi, G in frontier for j, Gt in zip(*twists(G, 1e-14)) if fresh(Gt)]

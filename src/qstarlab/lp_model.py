@@ -86,10 +86,6 @@ class DiscreteLpAlgebra:
     def values(self, a: Element):
         return np.diagonal(a.matrix).copy()
 
-    def weight_norm(self, w, p: float) -> float:
-        """The conjugate-index size of a weight vector against the measure."""
-        return _weight_norm(w, p, self.masses)
-
     def weight_form(self, w, label: str = "") -> IpsForm:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.k,) or np.any(w < 0.0):
@@ -107,9 +103,6 @@ class DiscreteLpAlgebra:
             w[i] = 1.0 if np.isinf(s) else self.masses[i] ** (-1.0 / s)
             gens.append(self.weight_form(w, label=f"point{i}"))
         return FormFamily(gens, balanced=False, label=label or f"points-p{p:g}")
-
-    def lp_norm(self, values, p: float) -> float:
-        return _lp_norm(values, p, self.masses)
 
 
 def _weight_norm(w, p: float, masses) -> float:
@@ -171,15 +164,15 @@ def holder_sup(values, p: float, masses) -> dict:
     }
 
 
-def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
-                         seed: int = 0xA11CE) -> dict:
+def weight_ascent_oracle(values, p: float, masses, seed: int = 0xA11CE) -> dict:
     """Feasible-ascent estimate of the weight-ball supremum.
 
     Every iterate stays on the admissible sphere, so the best value seen
     is a genuine lower bound for the supremum.  The ascent cycles over
     coordinate pairs and solves each two-coordinate slice of the sphere
-    exactly by golden-section search; the slice problems are concave, the
-    sphere has no flat spots, and the cycle stalls only at the optimum.
+    exactly by golden-section search, for at most 80 sweeps; the slice
+    problems are concave, the sphere has no flat spots, and the cycle
+    stalls only at the optimum.
     """
     m = _check_masses(masses)
     k = m.size
@@ -222,7 +215,7 @@ def weight_ascent_oracle(values, p: float, masses, sweeps: int = 80,
     best = value(w)
     best_w = w.copy()
     done = 0
-    for sweep in range(sweeps):
+    for sweep in range(80):
         before = value(w)
         wl = w.tolist()
         for i in range(k):

@@ -26,7 +26,7 @@ class CheckResult:
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": bool(self.passed)}
         if self.data:
-            out["data"] = jsonable(self.data)
+            out["data"] = self.data
         if self.note:
             out["note"] = self.note
         return out

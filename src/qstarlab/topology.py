@@ -135,12 +135,13 @@ def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
 
 
 def compare_topologies(F1: BoundedFormSet, kind1: str, F2: BoundedFormSet, kind2: str,
-                       probes, cap: float = 1e8) -> dict:
+                       probes) -> dict:
     """Empirical domination constants between two seminorms on a probe set.
 
     Reports the largest observed ratio in each direction; a ratio against
-    an (essentially) vanishing denominator counts as unbounded.  This is a
-    sampled comparison, not a proof.
+    an (essentially) vanishing denominator counts as unbounded, and one of
+    1e8 or more counts as no domination.  This is a sampled comparison,
+    not a proof.
     """
     probes = list(probes)
     values = []
@@ -159,8 +160,8 @@ def compare_topologies(F1: BoundedFormSet, kind1: str, F2: BoundedFormSet, kind2
             c21 = float("inf") if v2 > floor else c21
         else:
             c21 = max(c21, v2 / v1)
-    dom12 = c12 < cap
-    dom21 = c21 < cap
+    dom12 = c12 < 1e8
+    dom21 = c21 < 1e8
     if dom12 and dom21:
         relation = "equivalent-on-probes"
     elif dom12:

@@ -243,6 +243,25 @@ def test_malformed_twist_depth_is_exit_2(tmp_path):
                             "twist_depth")
 
 
+def test_non_boolean_balanced_is_exit_2(tmp_path):
+    # read as a truth value, the string "false" made a balanced family
+    for family in ("good", "bad"):
+        for value in ("false", 0, "yes"):
+            bundle = _m2_diag()
+            bundle["families"][family]["balanced"] = value
+            out = main("forms", _written(tmp_path, bundle), "--family", family)
+            _assert_field_error(out, "balanced")
+            assert out.stderr.startswith("error: ") and out.stdout == ""
+    # a missing key reads as false, and every shipped bundle still loads
+    bundle = _m2_diag()
+    del bundle["families"]["good"]["balanced"]
+    out = main("forms", _written(tmp_path, bundle), "--family", "good")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["report"]["balanced"] is False
+    for path in sorted(BUNDLES.glob("*.json")):
+        assert main("validate", f"bundled:{path.stem}").returncode == 0
+
+
 def test_negative_twist_depth_flag_is_exit_2():
     for args in (("forms", "bundled:m2_diag", "--family", "good", "--twist-depth", "-1"),
                  ("--twist-depth", "-1", "forms", "bundled:m2_diag", "--family", "good"),

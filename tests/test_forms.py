@@ -8,7 +8,7 @@ from qstarlab import (DEFAULT_TOL, ClosureViolation, EmptyFamily, FormFamily,
                       IpsForm, NotInA0, NotIps, ParseError,
                       QuasiAlgebraInstance, check_sufficiency, form_equal,
                       degeneracy_residuals, form_proportional, invariance_residual, is_dense,
-                      load_bundle, m_bounded_norms, twist, validate_family,
+                      load_bundle, m_bounded_norm, m_bounded_values, twist, validate_family,
                       validate_ips_form)
 from qstarlab.report import dumps
 
@@ -165,7 +165,9 @@ def test_rounding_noise_in_the_subalgebra_block_has_rank_zero():
         phi = IpsForm("gram", G, "E55")
         rep = validate_ips_form(phi, inst)
         fam = FormFamily(good.seeds + (phi,), good.balanced, good.twist_depth, "good+E55")
-        norms = [r.value for r in m_bounded_norms(basis, fam, inst)]
+        norms = m_bounded_values(basis, fam, inst)[0].tolist()
+        np.testing.assert_array_max_ulp(
+            norms, [m_bounded_norm(inst.element(c), fam, inst).value for c in basis], maxulp=16)
         answers.append((rep.accepted, rep.rank_full, rep.rank_sub, norms))
     assert answers[0][:3] == (False, 1, 0)
     assert all(0.999 < v < 1.001 for v in answers[0][3])
@@ -469,6 +471,35 @@ def test_closure_member_labels_name_their_twists():
             assert len(set(labels)) == len(labels), labels
             assert all(label.rpartition("^tw")[2] in {str(i) for i in inst.a0_indices}
                        for label in labels if "^tw" in label), labels
+
+
+def test_closure_stops_growing_at_its_fixed_point(monkeypatch):
+    # a round that adds nothing leaves nothing to twist, so a depth far past
+    # the fixed point gives the depth-3 family and twists no more often
+    from qstarlab import forms
+    make, calls = forms._twister, []
+
+    def counting(R):
+        twists = make(R)
+        return lambda G, floor: calls.append(G) or twists(G, floor)
+    monkeypatch.setattr(forms, "_twister", counting)
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=3, seed=5)
+    for inst, fam in pairs:
+        seen = []
+        for depth in (3, 10 ** 9):
+            calls.clear()
+            ctx = FormFamily(fam.seeds, True, depth, fam.label).context(inst)
+            members, grams, _ = ctx.closure
+            rounds = len(calls)
+            rep = validate_family(FormFamily(fam.seeds, True, depth, fam.label), inst).as_dict()
+            del rep["twist_depth"]
+            seen.append(([m.label for m in members], grams, rounds, dumps(rep)))
+        (labels, grams, rounds, rep), (labels_deep, grams_deep, rounds_deep, rep_deep) = seen
+        assert labels_deep == labels
+        assert all(np.array_equal(a, b) for a, b in zip(grams, grams_deep, strict=True))
+        assert rounds_deep <= rounds
+        assert rep_deep == rep
 
 
 def test_witness_values_cover_every_closure_member():
