@@ -23,7 +23,7 @@ from .errors import (
     NotInA0,
     ParseError,
 )
-from .report import CheckResult, all_passed
+from .report import CheckResult, all_passed, pairs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -66,11 +66,6 @@ def parse_complex_matrix(rows, source, field_name, shape=None):
     if shape is not None and out.shape != shape:
         raise ParseError(source, f"matrix has shape {out.shape}, expected {shape}", field=field_name)
     return out
-
-
-def complex_matrix_jsonable(mat):
-    """Emit a complex matrix as nested [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
 
 
 def _pinv_and_singular_values(M):
@@ -265,7 +260,7 @@ class QuasiAlgebraInstance:
     def as_jsonable(self):
         return {
             "n": self.n,
-            "basis": [complex_matrix_jsonable(b) for b in self.basis],
+            "basis": pairs(self.basis),
             "a0_indices": list(self.a0_indices),
             "unit_index": self.unit_index,
             "label": self.label,

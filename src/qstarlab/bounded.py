@@ -33,7 +33,7 @@ from .algebra import Element, QuasiAlgebraInstance, hermitian_mask, scaled_rows,
 from .errors import (AmbiguousProduct, CharacterizationMismatch, FamilyNotBalanced,
                      NotSufficient, NotWellDefined, ProductOverflow)
 from .forms import FormFamily, _hermitian_part, _right_mults
-from .report import CheckResult
+from .report import CheckResult, pairs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -48,10 +48,8 @@ class ConeReport:
     def as_dict(self) -> dict:
         out = {"member": self.member, "per_generator": self.per_generator}
         if self.witness_coeffs is not None:
-            out["witness_coeffs"] = [[float(z.real), float(z.imag)]
-                                     for z in self.witness_coeffs]
-            out["witness_value"] = [float(self.witness_value.real),
-                                    float(self.witness_value.imag)]
+            out["witness_coeffs"] = pairs(self.witness_coeffs)
+            out["witness_value"] = pairs(self.witness_value)
             out["witness_generator"] = self.witness_generator
         return out
 
@@ -209,6 +207,10 @@ def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Toleranc
     X, s = scaled_rows(C)
     mats = (X @ np.reshape(alg.basis, (alg.dim, -1))).reshape(-1, alg.n, alg.n)
     herm, fro2 = hermitian_mask(mats), np.linalg.norm(mats, axis=(1, 2)) ** 2
+    # a row with a non-finite part runs as zero, and its routes read NaN below
+    nonfinite = ~np.isfinite(X).all(axis=1)
+    if nonfinite.any():
+        X = np.where(nonfinite[:, None], 0.0, X)
     # AX[r] = (R0 @ x_r).T: column j holds the coefficients of x_r.x_j
     AX = (_right_mults(alg, tol) @ X.T).transpose(2, 1, 0)
     a0_idx, hix = np.asarray(alg.a0_indices), np.flatnonzero(herm)
@@ -238,6 +240,7 @@ def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Toleranc
     finite = np.isfinite(pencil)
     ref = np.where(finite, pencil, 0.0)
     values = np.stack([gns, pencil, np.where(herm, quad, ref)])
+    values[:, nonfinite] = np.nan
     off = np.abs(values - ref) > tol.cross_check * np.maximum(1.0, ref)
     bad = np.flatnonzero(np.isnan(values).any(axis=0) | (finite & off.any(axis=0)))
     if bad.size:
@@ -368,8 +371,7 @@ class RadicalReport:
     def as_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "basis_coeffs": [[[float(z.real), float(z.imag)] for z in b]
-                             for b in self.basis_coeffs],
+            "basis_coeffs": pairs(self.basis_coeffs),
             "checks": [c.as_dict() for c in self.checks],
         }
 

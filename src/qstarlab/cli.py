@@ -32,7 +32,7 @@ from .forms import FormFamily, _checked_depth, validate_family
 from .gns import reconstruction_defect
 from .lp_model import holder_sup, lp_bounded_norm, weight_ascent_oracle
 from .probes import DEFAULT_SEED, standard_probes
-from .report import dumps
+from .report import dumps, pairs
 from .tolerances import DEFAULT_TOL
 from .topology import (SEMINORM_KINDS, BoundedFormSet, compare_topologies, gamma,
                        left_mult_bound, seminorm_eval, ga_star_check)
@@ -192,8 +192,7 @@ def _cmd_cone(args, tol):
                "element": args.element, "report": report.as_dict()}
     if not report.member and report.witness_coeffs is not None:
         w = cone_witness_element(report, inst)
-        payload["witness_pairing"] = [float(report.witness_value.real),
-                                      float(report.witness_value.imag)]
+        payload["witness_pairing"] = pairs(report.witness_value)
         payload["witness_norm"] = w.norm_frobenius()
     return payload
 
@@ -213,7 +212,7 @@ def _cmd_weakprod(args, tol):
     c, rep = weak_product(a, b, fam, inst, tol)
     return {"command": "weakprod", "source": args.source, "family": fam.label,
             "left": args.left, "right": args.right,
-            "coeffs": [[float(z.real), float(z.imag)] for z in c.coeffs],
+            "coeffs": pairs(c.coeffs),
             "report": rep.as_dict()}
 
 
@@ -263,12 +262,12 @@ def _cmd_lp(args, tol):
     if len(masses) != k or len(values) != k:
         raise ParseError("lp", f"masses and values must have {k} entries")
     hs = holder_sup(values, args.exponent, masses)
-    oracle = weight_ascent_oracle(values, args.exponent, masses, seed=args.seed)
+    oracle = weight_ascent_oracle(values, args.exponent, masses)
     norm = lp_bounded_norm(values, args.exponent, masses, tol)
     return {
         "command": "lp", "points": k, "exponent": float(args.exponent),
         "masses": masses,
-        "values": [[float(complex(v).real), float(complex(v).imag)] for v in values],
+        "values": pairs(values),
         "holder": {
             "sup": hs["sup"], "seminorm": hs["seminorm"],
             "attained": hs["attained"],

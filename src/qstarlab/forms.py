@@ -40,11 +40,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (Element, QuasiAlgebraInstance, _is_int, complex_matrix_jsonable,
-                      parse_complex_matrix, scaled_rows, spectral_norm)
+from .algebra import (Element, QuasiAlgebraInstance, _is_int, parse_complex_matrix,
+                      scaled_rows, spectral_norm)
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
 from .probes import random_probes
-from .report import CheckResult, all_passed
+from .report import CheckResult, all_passed, pairs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 VECTOR_STATE = "vector_state"
@@ -114,7 +114,7 @@ class IpsForm:
 
     def as_jsonable(self):
         key = "S" if self.kind == VECTOR_STATE else "G"
-        return {"kind": self.kind, key: complex_matrix_jsonable(self.payload), "label": self.label}
+        return {"kind": self.kind, key: pairs(self.payload), "label": self.label}
 
     def __repr__(self):
         return f"IpsForm({self.kind}, dim={self.payload.shape[0]}, label={self.label!r})"
@@ -207,10 +207,10 @@ def _frobenius_rows(M):
 def _twister(R):
     """``twists(G, floor)`` for a stack R of right-multiplication matrices:
     the indices j whose twist R[j]^H G R[j] is not certified below ``floor``
-    in Frobenius norm, with their twisted Grams from ``_twisted_grams``.
+    in Frobenius norm, with their twisted Grams, as ``_twisted_grams`` gives them.
 
     The certificate is |R^H G R|_F <= |R^H G|_F |R|_F (Golub & Van Loan,
-    2.3), on the same product R^H G that ``_twisted_grams`` forms first;
+    2.3), on the product R^H G that the kept twists are then finished from;
     the factor 1 + 4 d^2 eps covers the rounding of the second product and
     of every norm involved, so a twist left out is one that ``_classify``
     would call zero at that floor.  It needs no positivity of G."""
@@ -219,8 +219,9 @@ def _twister(R):
     rnorms = _frobenius_rows(R) * (1.0 + 4.0 * d * d * np.finfo(float).eps)
 
     def twists(G, floor):
-        keep = np.flatnonzero(~(_frobenius_rows(RH @ G) * rnorms <= floor))
-        return keep, _twisted_grams(G, R[keep])
+        RHG = RH @ G
+        keep = np.flatnonzero(~(_frobenius_rows(RHG) * rnorms <= floor))
+        return keep, _hermitian_part(RHG[keep] @ R[keep])
     return twists
 
 
@@ -529,32 +530,41 @@ class FamilyContext:
         return self._grown[3]
 
     @cached_property
+    def scale(self):
+        """The largest seed |G|_2: the closure calls a twist zero below 1e-14
+        times it and the stability check below 1e-12 times it, so scaling
+        every form by c > 0 moves no decision, and an all-zero family closes
+        to nothing."""
+        return max((full.wmax for full, _ in self.sections), default=0.0)
+
+    @cached_property
     def _grown(self):
-        pairs = tuple(zip(self.seeds, self.seed_grams))
+        seeded = tuple(zip(self.seeds, self.seed_grams))
         if not self.balanced:
-            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), pairs
+            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), seeded
         twists, ix = _twister(_right_mults(self.alg, self.tol)), self.alg.a0_indices
         norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
+        floor = 1e-14 * self.scale
 
         def fresh(G):
             """Whether G is nonzero and not yet a direction; if so, record it."""
             nonlocal units
-            gn = _classify(G, units, 1e-14 * max(max(norms, default=0.0), 1.0), self.tol)
+            gn = _classify(G, units, floor, self.tol)
             if isinstance(gn, str):
                 return False
             norms.append(gn)
             units = np.concatenate([units, (G / gn)[None]])
             return True
 
-        kept = [(phi, G) for phi, G in pairs if fresh(G)]
-        frontier = pairs
+        kept = [(phi, G) for phi, G in seeded if fresh(G)]
+        frontier = seeded
         for _ in range(self.depth):
             if not frontier:
                 # a round that added nothing leaves nothing to twist
                 break
-            # 1e-14 is the smallest floor fresh uses, so a twist certified below it is zero
+            # a twist certified below fresh's floor is one fresh calls zero
             new = [IpsForm(GRAM, Gt, label=f"{phi.label}^tw{ix[j]}")
-                   for phi, G in frontier for j, Gt in zip(*twists(G, 1e-14)) if fresh(Gt)]
+                   for phi, G in frontier for j, Gt in zip(*twists(G, floor)) if fresh(Gt)]
             frontier = tuple((tw, tw.payload) for tw in new)
             kept += frontier
         return tuple(phi for phi, _ in kept), tuple(G for _, G in kept), tuple(norms), \
@@ -691,7 +701,7 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
                           seed_reports=[_form_report(*args, tol, require_density=False)
                                         for args in zip(family.seeds, ctx.sections,
                                                         seed_res, seed_scale)])
-    members, grams, norms = ctx.closure
+    members, grams, _ = ctx.closure
     report.closure_size = len(members)
 
     seed_ids = {id(s) for s in family.seeds}
@@ -708,7 +718,7 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
 
     if family.balanced:
         # the twists that are neither zero nor a direction of the closure
-        floor, units = 1e-12 * max(max(norms, default=0.0), 1.0), ctx.nonzero[1]
+        floor, units = 1e-12 * ctx.scale, ctx.nonzero[1]
         twists = _twister(_right_mults(alg, tol))
         new = [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
                for phi, G in ctx.untwisted for j, Gt in zip(*twists(G, floor))
@@ -745,7 +755,7 @@ class SufficiencyReport:
             "checks": [c.as_dict() for c in self.checks],
         }
         if self.witness_coeffs is not None:
-            out["witness_coeffs"] = [[float(z.real), float(z.imag)] for z in self.witness_coeffs]
+            out["witness_coeffs"] = pairs(self.witness_coeffs)
             out["witness_values"] = {k: float(v) for k, v in self.witness_values.items()}
             out["max_witness_value"] = self.max_witness_value
         return out

@@ -164,15 +164,16 @@ def holder_sup(values, p: float, masses) -> dict:
     }
 
 
-def weight_ascent_oracle(values, p: float, masses, seed: int = 0xA11CE) -> dict:
+def weight_ascent_oracle(values, p: float, masses) -> dict:
     """Feasible-ascent estimate of the weight-ball supremum.
 
     Every iterate stays on the admissible sphere, so the best value seen
-    is a genuine lower bound for the supremum.  The ascent cycles over
-    coordinate pairs and solves each two-coordinate slice of the sphere
-    exactly by golden-section search, for at most 80 sweeps; the slice
-    problems are concave, the sphere has no flat spots, and the cycle
-    stalls only at the optimum.
+    is a genuine lower bound for the supremum.  At p = 2 the ball is
+    0 <= w <= 1 and g >= 0, so w = 1 attains it.  Otherwise the ascent
+    cycles over coordinate pairs and solves each two-coordinate slice of
+    the sphere exactly by golden-section search, for at most 80 sweeps;
+    the slice problems are concave, the sphere has no flat spots, and the
+    cycle stalls only at the optimum.
     """
     m = _check_masses(masses)
     k = m.size
@@ -186,16 +187,9 @@ def weight_ascent_oracle(values, p: float, masses, seed: int = 0xA11CE) -> dict:
     def value(w):
         return float(np.sum(g * w))
 
-    rng = np.random.default_rng(seed)
-
     if np.isinf(s):
-        best_w = np.ones(k)
-        best = value(best_w)
-        for _ in range(4):
-            w = rng.uniform(0.0, 1.0, size=k)
-            if value(w) > best:
-                best, best_w = value(w), w
-        return {"sup_estimate": best, "weight": best_w, "sweeps": 0}
+        w = np.ones(k)
+        return {"sup_estimate": value(w), "weight": w, "sweeps": 0}
 
     def normalize(w):
         w = np.clip(w, 0.0, None)

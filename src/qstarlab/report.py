@@ -3,7 +3,8 @@
 Reports are plain dataclasses holding named check results.  Serialization is
 deterministic: construction order is fixed by the code, floats are emitted
 with 17 significant digits (round-trip exact for doubles), complex numbers
-as [re, im] pairs, and no timing or host information enters the JSON payload.
+as [re, im] pairs from ``pairs``, and no timing or host information enters
+the JSON payload.
 """
 
 from __future__ import annotations
@@ -36,24 +37,10 @@ def all_passed(checks) -> bool:
     return all(c.passed for c in checks)
 
 
-def jsonable(obj):
-    """Convert numpy scalars/arrays and complex values to JSON-ready types."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def pairs(z):
+    """Complex values of any shape as nested [re, im] lists of floats."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
 def _format_float(x: float) -> str:
@@ -78,31 +65,25 @@ def _escape(s: str) -> str:
 
 
 def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text with 17-significant-digit floats, in one pass:
-    values that are not plain JSON types are written as ``jsonable``
-    converts them."""
+    """Deterministic JSON text with 17-significant-digit floats, in one pass.
+    Only exact JSON values are written: str, int, float, bool, None, list,
+    tuple and dict with str keys; anything else raises TypeError."""
     pieces = []
     _emit(obj, pieces, indent, 0)
     return "".join(pieces)
 
 
 def _scalar(v):
-    """The JSON text of a bool, None, int or float, numpy's and 0-d arrays
-    included, or None for any other value."""
-    if type(v) is float:
+    """The JSON text of a bool, None, int or float, or None for any other value."""
+    cls = type(v)
+    if cls is float:
         return _format_float(v)
-    if v is True or v is False or isinstance(v, np.bool_):
+    if cls is bool:
         return "true" if v else "false"
     if v is None:
         return "null"
-    if isinstance(v, int):
+    if cls is int:
         return str(v)
-    if isinstance(v, np.integer):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _format_float(float(v))
-    if isinstance(v, np.ndarray) and v.ndim == 0:
-        return _scalar(v.item())
     return None
 
 
@@ -118,14 +99,11 @@ def _emit(obj, pieces, indent, level):
         if not obj:
             pieces.append("{}")
             return
-        start = len(pieces)
         pieces.append("{\n")
         last = len(obj) - 1
         for i, (k, v) in enumerate(obj.items()):
             if type(k) is not str:
-                del pieces[start:]
-                _emit(jsonable(obj), pieces, indent, level)
-                return
+                raise TypeError(f"cannot serialize a key of {type(k)!r}")
             pieces.append(f'{pad}"{_escape(k)}": ')
             _emit(v, pieces, indent, level + 1)
             pieces.append(",\n" if i < last else "\n")
@@ -152,10 +130,5 @@ def _emit(obj, pieces, indent, level):
         pieces.append(closepad + "]")
     elif (text := _scalar(obj)) is not None:
         pieces.append(text)
-    elif isinstance(obj, str):
-        pieces.append(f'"{_escape(obj)}"')
     else:
-        conv = jsonable(obj)
-        if conv is obj:
-            raise TypeError(f"cannot serialize {type(obj)!r}")
-        _emit(conv, pieces, indent, level)
+        raise TypeError(f"cannot serialize {type(obj)!r}")

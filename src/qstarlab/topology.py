@@ -27,7 +27,7 @@ from .algebra import Element, QuasiAlgebraInstance, scaled_rows, spectral_norm
 from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_values
 from .errors import EmptyFamily, NotIps, NotSufficient
 from .forms import FormFamily, _hermitian_part, _right_mult_of, _right_mults, _twisted_grams
-from .report import CheckResult, all_passed
+from .report import CheckResult, all_passed, pairs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 SEMINORM_KINDS = ("upper", "lower", "star")
@@ -219,7 +219,7 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     if witness is not None:
         # the witness is a nonzero element invisible to every member
         coeffs, values = witness
-        sep_data["witness_coeffs"] = [[float(z.real), float(z.imag)] for z in coeffs]
+        sep_data["witness_coeffs"] = pairs(coeffs)
         sep_data["max_witness_value"] = max(values.values(), default=0.0)
     report.conditions.append(CheckResult("separates-points", sufficient, sep_data))
 

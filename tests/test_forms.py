@@ -245,9 +245,12 @@ def test_twist_stability_twists_only_the_last_round(monkeypatch):
     # the stability check twists only the one member the closure added in
     # its last round, so re-twisting every member would pass three Grams
     from qstarlab import forms
-    grams = []
-    helper = forms._twisted_grams
-    monkeypatch.setattr(forms, "_twisted_grams", lambda G, R: grams.append(G) or helper(G, R))
+    make, grams = forms._twister, []
+
+    def counting(R):
+        twists = make(R)
+        return lambda G, floor: grams.append(G) or twists(G, floor)
+    monkeypatch.setattr(forms, "_twister", counting)
     b = load_bundle("m2_diag")
     fam, inst = b["families"]["good"], b["instance"]
     rep = validate_family(fam, inst)
@@ -514,14 +517,22 @@ def test_witness_values_cover_every_closure_member():
 
 def test_stability_check_forms_only_the_twists_not_certified_zero(monkeypatch):
     # the seed-8 pair's last closure round has 240 twists, 203 of them zero;
-    # the Frobenius certificate keeps those out of _twisted_grams
+    # the Frobenius certificate keeps those from being formed
     from qstarlab import forms
     inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
     ctx = fam.context(inst)
     ctx.closure  # built first, so that only the stability check's twists are counted
-    rows = []
-    helper = forms._twisted_grams
-    monkeypatch.setattr(forms, "_twisted_grams", lambda G, R: rows.append(len(R)) or helper(G, R))
+    make, rows = forms._twister, []
+
+    def counting(R):
+        twists = make(R)
+
+        def formed(G, floor):
+            keep, grams = twists(G, floor)
+            rows.append(len(grams))
+            return keep, grams
+        return formed
+    monkeypatch.setattr(forms, "_twister", counting)
     rep = validate_family(fam, inst)
     assert next(c for c in rep.checks if c.name == "twist-stability").passed
     assert len(rows) == len(ctx.untwisted)
@@ -609,3 +620,20 @@ def test_random_probes_are_the_per_probe_draws():
             assert len(got) == count
             for e, r in zip(got, ref):
                 assert np.array_equal(e.coeffs, (r * (1.0 / r.norm_frobenius())).coeffs)
+
+
+def test_kept_twists_are_the_twisted_grams_bit_for_bit():
+    # a kept twist is finished from the product R^H G that its zero
+    # certificate took, and is _twisted_grams of the kept rows to the bit
+    from qstarlab.forms import _right_mults, _twisted_grams, _twister
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=4, seed=8, n_min=4, n_max=8)
+    formed = 0
+    for inst, fam in pairs:
+        R = _right_mults(inst, DEFAULT_TOL)
+        twists = _twister(R)
+        for G in fam.context(inst).closure[1]:
+            keep, grams = twists(G, 0.0)
+            assert grams.tobytes() == _twisted_grams(G, R[keep]).tobytes()
+            formed += len(keep)
+    assert formed > 200

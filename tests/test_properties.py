@@ -3,9 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qstarlab import (DEFAULT_TOL, form_equal, hermitian_parts, holder_sup, load_bundle,
-                      m_bounded_norm, p_upper, twist, weak_product,
-                      weight_ascent_oracle, BoundedFormSet)
+from corpus import make_corpus
+from qstarlab import (DEFAULT_TOL, BoundedFormSet, FormFamily, IpsForm, QStarError,
+                      check_condition_product, form_equal, ga_star_check, hermitian_parts,
+                      holder_sup, load_bundle, m_bounded_norm, m_bounded_values, p_upper,
+                      radical, seminorms, twist, validate_family, weak_product, weak_products,
+                      weight_ascent_oracle)
 from qstarlab.forms import gram_sections
 
 _diag = load_bundle("m2_diag")
@@ -203,3 +206,52 @@ def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp
             assert 3 not in keep
             if rank < d and floor_exp >= -12.0:
                 assert 0 not in keep, (twist_exp, r_exp)
+
+
+def _scaled(fam, c):
+    """The family with every seed payload multiplied by c > 0."""
+    return FormFamily([IpsForm(phi.kind, c * phi.payload, phi.label) for phi in fam.seeds],
+                      fam.balanced, fam.twist_depth, fam.label)
+
+
+def _scale_answers(inst, fam):
+    """``(answers, norms, upper)``: the discrete answers that no positive form
+    scale may move, the M-bounded norms of the basis (None for a family
+    that does not separate points) and its upper seminorms."""
+    rep = validate_family(fam, inst)
+    I = np.eye(inst.dim)
+    left, right = np.divmod(np.arange(inst.dim ** 2), inst.dim)
+    suff = fam.sufficiency(inst)
+
+    def outcome(call):
+        try:
+            return call()
+        except QStarError as exc:
+            return type(exc).__name__
+    answers = {"accepted": rep.accepted, "labels": [m.label for m in fam.forms(inst)],
+               "checks": [(c.name, c.passed) for c in rep.checks], "dim_null": suff.dim_null,
+               "radical_dim": radical(fam, inst).dim,
+               "condition_product": outcome(lambda: check_condition_product(fam, inst)["holds"]),
+               "gastar": ga_star_check(fam, inst).verdict,
+               "weak_products": outcome(lambda: [isinstance(out, tuple) for out in
+                                                 weak_products(I[left], I[right], fam, inst)])}
+    norms = m_bounded_values(I, fam, inst)[0] if suff.sufficient else None
+    return answers, norms, seminorms(BoundedFormSet.from_family(fam, inst), inst, I, "upper")
+
+
+def test_form_scale_moves_no_answer():
+    # phi -> 2^k phi: the closure's zero floors follow the largest seed, so
+    # every discrete answer stays; norms stay and seminorms scale by 2^(k/2)
+    cases = [(load_bundle(b)["instance"], load_bundle(b)["families"][f])
+             for b, f in (("m2_diag", "good"), ("m2_diag", "bad"), ("m2_full", "trace"),
+                          ("m3_pattern", "good"))]
+    cases += make_corpus(count=3, seed=0x5CA1E, n_min=3, n_max=5)
+    for inst, fam in cases:
+        answers, norms, upper = _scale_answers(inst, fam)
+        assert answers["labels"]
+        for k in (-400, -200, -60, -50, -1, 1, 60, 400):
+            answers_k, norms_k, upper_k = _scale_answers(inst, _scaled(fam, 2.0 ** k))
+            assert answers_k == answers, (fam.label, k)
+            if norms is not None:
+                np.testing.assert_allclose(norms_k, norms, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(upper_k, upper * 2.0 ** (k / 2), rtol=1e-12, atol=0)

@@ -6,9 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from qstarlab import cli, load_bundle
+from corpus import make_corpus
+from qstarlab import (QStarError, check_condition_product, cli, cone_membership,
+                      extract_bounded_algebra, ga_star_check, load_bundle, m_bounded_norm,
+                      radical, validate_family, validate_ips_form, validate_structure,
+                      weak_product)
 from qstarlab.bundled import bundle_names
-from qstarlab.report import _escape, _format_float, dumps
+from qstarlab.report import _escape, _format_float, dumps, pairs
 
 
 def _escape_by_loop(s):
@@ -39,28 +43,8 @@ def test_escape_matches_the_per_character_rules():
     assert dumps({mixed: mixed}) == f"{{\n  {quoted}: {quoted}\n}}"
 
 
-def _jsonable_reference(obj):
-    """The former first pass: numpy values, complex values and tuples to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable_reference(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable_reference(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable_reference(obj.tolist())
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _emit_reference(obj, pieces, indent, level):
-    """The former second pass, on the output of the first."""
+    """The former two-pass writer's second pass, which met plain JSON values only."""
     pad = " " * (indent * (level + 1))
     closepad = " " * (indent * level)
     if obj is None:
@@ -83,7 +67,7 @@ def _emit_reference(obj, pieces, indent, level):
             _emit_reference(v, pieces, indent, level + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(closepad + "}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
             return
@@ -106,7 +90,7 @@ def _emit_reference(obj, pieces, indent, level):
 
 def _dumps_reference(obj, indent=2):
     pieces = []
-    _emit_reference(_jsonable_reference(obj), pieces, indent, 0)
+    _emit_reference(obj, pieces, indent, 0)
     return "".join(pieces)
 
 
@@ -141,29 +125,115 @@ def test_dumps_matches_the_two_pass_reference(monkeypatch):
         def __format__(self, spec):
             return "format of the tag"
 
+    class Table(dict):
+        pass
+
+    class Count(int):
+        pass
+
+    class Real(float):
+        pass
+
+    class Items(list):
+        pass
+
     synthetic = [
-        {"np": [np.float64(0.1), np.float32(0.5), np.int64(-3), np.int8(7), np.bool_(True),
-                np.bool_(False), np.float64("nan"), np.float64("-inf"), np.uint64(2 ** 63)]},
-        {"complex": [1 + 2j, np.complex128(-0.0 - 1e-300j), complex("nan+infj")],
-         "pair": (0.25, -0.0), "named": Named((1, 2.5)), "nested": ((1, (2, 3)), [])},
-        {1: "int key", 2.5: "float key", None: "none key", (1, 2): "tuple key",
-         np.int64(7): [float("nan"), float("inf"), -float("inf"), 1e16, 1e15, -0.0, 3.0]},
-        {1: "replaced", "1": "kept in place of the int key", "b": {}},
+        {"pair": (0.25, -0.0), "nested": ((1, (2, 3)), []), "flat tuple": (1, None, True, 2.5)},
+        {"specials": [float("nan"), float("inf"), -float("inf"), 1e16, 1e15, -0.0, 3.0]},
+        {"1": "a str key", "b": {}},
         {"long": list(range(17)), "long floats": [x / 7 for x in range(40)],
          "edge": list(range(16)), "mixed": [1, None, True, 2.5, "s"], "flat none": [None, None]},
-        {"arrays": np.arange(20.0).reshape(4, 5), "complex array": np.eye(2) * (1 - 1j),
-         "zero-d": np.array(2.0), "zero-d list": [np.array(3), np.array(1 + 1j)],
-         "zero-d flat": [np.array(3), np.array(2.5), np.array(True)],
-         "bools": np.array([True, False]), "empty": np.zeros((0, 3))},
         {"escape \"\n\t\x01": "value \\ \x1f é", "\u2028 \x7f": "\u2028"},
-        {Tag("key"): Tag("value \n"), "list": [Tag("item")]},
-        [np.float64(1e300) * 10, [np.int32(1), [np.float16(0.5)]], {}, [], ""],
-        np.float64(2.0), 1 + 1j, None, True, "top",
+        [1e300 * 1e10, [1, [0.5]], {}, [], ""],
+        2.0, -3, None, True, "top",
     ]
     payloads = _cli_payloads(monkeypatch) + synthetic
     for payload in payloads:
         for indent in (2, 4):
             assert dumps(payload, indent) == _dumps_reference(payload, indent)
-    for bad in ({"set": {1, 2}}, [object()], np.datetime64("2020-01-01")):
-        with pytest.raises(TypeError, match="cannot serialize"):
-            dumps(bad)
+    # only exact JSON values are written: numpy values, complex numbers,
+    # subclasses and non-str keys are the caller's to convert
+    bad_values = [
+        np.float64(0.1), np.float32(0.5), np.int64(-3), np.int8(7), np.bool_(True),
+        np.uint64(2 ** 63), np.float64("nan"), 1 + 2j, np.complex128(-0.0 - 1e-300j),
+        np.arange(20.0).reshape(4, 5), np.array(2.0), np.array(3), np.array([True, False]),
+        np.zeros((0, 3)), Named((1, 2.5)), Tag("value"), Table(a=1), Count(3), Real(0.5),
+        Items([1]), {1, 2}, object(), np.datetime64("2020-01-01"),
+        {1: "int key"}, {2.5: "float key"}, {None: "none key"}, {(1, 2): "tuple key"},
+        {np.int64(7): 1.0}, {Tag("key"): "str subclass key"},
+    ]
+    for bad in bad_values:
+        for payload in (bad, {"key": [1.0, bad]}, [{"key": bad}] * 20):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                dumps(payload)
+
+
+def test_pairs_gives_the_former_conversions_floats():
+    z = complex(-0.0, 1e-300)
+    v = np.array([1 + 2j, -0.0 - 1e-300j, complex("nan+infj"), 3.0])
+    M = np.arange(6).reshape(2, 3) * (0.1 - 0.7j)
+    cases = [
+        (z, [float(z.real), float(z.imag)]),
+        (v, [[float(x.real), float(x.imag)] for x in v]),
+        (M, [[[float(x.real), float(x.imag)] for x in row] for row in M]),
+        ([], []),
+    ]
+    for value, former in cases:
+        out = pairs(value)
+        assert repr(out) == repr(former)
+        assert _not_plain(out) == []
+
+
+def _not_plain(obj, path="$"):
+    """Where ``obj`` holds anything but exact JSON values: str, int, float,
+    bool, None, list, tuple and dict with str keys."""
+    cls = type(obj)
+    if cls is dict:
+        return [bad for k, v in obj.items()
+                for bad in ([f"{path} key {k!r}"] if type(k) is not str else [])
+                + _not_plain(v, f"{path}.{k}")]
+    if cls is list or cls is tuple:
+        return [bad for i, v in enumerate(obj) for bad in _not_plain(v, f"{path}[{i}]")]
+    if cls in (str, int, float, bool) or obj is None:
+        return []
+    return [f"{path}: {cls.__name__}"]
+
+
+def _report_dicts(inst, fam):
+    """``as_dict()`` of every report type on one instance and family, and
+    the dicts of ``extract_bounded_algebra`` and ``check_condition_product``;
+    a typed analysis error stands in for what it stopped."""
+    basis = [inst.basis_element(i) for i in range(inst.dim)]
+    calls = [lambda: validate_structure(inst).as_dict(),
+             lambda: validate_family(fam, inst).as_dict(),
+             lambda: fam.sufficiency(inst).as_dict(),
+             lambda: radical(fam, inst).as_dict(),
+             lambda: ga_star_check(fam, inst).as_dict(),
+             lambda: check_condition_product(fam, inst),
+             lambda: extract_bounded_algebra(fam, inst, basis[:6])]
+    calls += [lambda phi=phi: validate_ips_form(phi, inst).as_dict() for phi in fam.seeds]
+    for a in basis:
+        calls += [lambda a=a: m_bounded_norm(a, fam, inst).as_dict(),
+                  lambda a=a: weak_product(a, a.star(), fam, inst)[1].as_dict()]
+        if fam.balanced:
+            calls += [lambda a=a: cone_membership(a * s, fam, inst).as_dict() for s in (1, -1j, -1)]
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except QStarError:
+            pass
+    return out
+
+
+def test_reports_hold_exact_json_values_only():
+    cases = [(b["instance"], fam) for b in map(load_bundle, bundle_names())
+             for fam in b["families"].values()]
+    cases += make_corpus(count=4, seed=0x7E57, n_min=2, n_max=4)
+    seen = set()
+    for inst, fam in cases:
+        for d in _report_dicts(inst, fam):
+            assert _not_plain(d) == []
+            seen.update(d)
+    # witnesses of both kinds and a radical basis were among the walked fields
+    assert {"witness_coeffs", "witness_value", "basis_coeffs", "norms", "failures"} <= seen

@@ -6,8 +6,9 @@ import pytest
 from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, AmbiguousProduct, BoundedFormSet,
                       CharacterizationMismatch, NotWellDefined, ProductOverflow,
-                      load_bundle, m_bounded_norm, m_bounded_values, p_lower, p_star,
-                      p_upper, seminorms, weak_product, weak_products)
+                      bundle_names, extract_bounded_algebra, load_bundle, m_bounded_norm,
+                      m_bounded_values, p_lower, p_star, p_upper, seminorms, weak_product,
+                      weak_products)
 
 TOL = DEFAULT_TOL.cross_check
 
@@ -126,3 +127,40 @@ def test_stacked_weak_products_raise_ambiguity_for_the_whole_stack():
     inst, fam = flip["instance"], flip["families"]["amb"]
     with pytest.raises(AmbiguousProduct):
         weak_products(np.eye(2), np.eye(2), fam, inst)
+
+
+def test_non_finite_rows_raise_the_typed_error_on_every_family():
+    # a row with a NaN or infinite part runs as zero and its routes read
+    # NaN, so it raises CharacterizationMismatch and never reaches LAPACK.
+    # extract_bounded_algebra takes the NaN rows only: an infinite probe
+    # meets inf * 0 in its products first, which numpy warns about
+    for name in bundle_names():
+        b = load_bundle(name)
+        inst = b["instance"]
+        for fam in b["families"].values():
+            if not fam.sufficiency(inst).sufficient:
+                continue
+            d, nan, inf = inst.dim, float("nan"), float("inf")
+            rows = np.zeros((6, d), dtype=complex)
+            rows[0, 0] = rows[2] = nan
+            rows[1, :2] = 1.0, nan
+            rows[3, -1] = complex(nan, 1.0)
+            rows[4, 0] = complex(1.0, -inf)
+            rows[5, 0], rows[5, -1] = -inf, nan
+            for k, row in enumerate(rows):
+                calls = [lambda: m_bounded_norm(inst.element(row), fam, inst),
+                         lambda: m_bounded_values(row[None], fam, inst)]
+                if k < 4:
+                    calls.append(lambda: extract_bounded_algebra(
+                        fam, inst, [inst.unit, inst.element(row)]))
+                for call in calls:
+                    with pytest.raises(CharacterizationMismatch):
+                        call()
+            # one NaN row among finite ones raises on that row
+            C = np.vstack([np.eye(d)[:2], rows[1], np.eye(d)[-1:]])
+            with pytest.raises(CharacterizationMismatch) as stack:
+                m_bounded_values(C, fam, inst)
+            with pytest.raises(CharacterizationMismatch) as one:
+                m_bounded_norm(inst.element(rows[1]), fam, inst)
+            assert str(stack.value) == str(one.value)
+            assert all(np.isnan(v) for v in stack.value.values.values())
