@@ -43,8 +43,28 @@ def test_escape_matches_the_per_character_rules():
     assert dumps({mixed: mixed}) == f"{{\n  {quoted}: {quoted}\n}}"
 
 
+def _jsonable_reference(obj):
+    """The former first pass: numpy values, complex values and tuples to JSON types."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable_reference(obj.tolist())
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        return [z.real, z.imag]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
 def _emit_reference(obj, pieces, indent, level):
-    """The former two-pass writer's second pass, which met plain JSON values only."""
+    """The former second pass, on the output of the first."""
     pad = " " * (indent * (level + 1))
     closepad = " " * (indent * level)
     if obj is None:
@@ -67,7 +87,7 @@ def _emit_reference(obj, pieces, indent, level):
             _emit_reference(v, pieces, indent, level + 1)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(closepad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         if not obj:
             pieces.append("[]")
             return
@@ -90,7 +110,7 @@ def _emit_reference(obj, pieces, indent, level):
 
 def _dumps_reference(obj, indent=2):
     pieces = []
-    _emit_reference(obj, pieces, indent, 0)
+    _emit_reference(_jsonable_reference(obj), pieces, indent, 0)
     return "".join(pieces)
 
 
