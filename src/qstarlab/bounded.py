@@ -193,9 +193,11 @@ def m_bounded_values(C, family: FormFamily, alg: QuasiAlgebraInstance,
 def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     """``(s, values, hermitian, per_seed)`` for the rows of C: each row's scale
     s, the (3, k) route values on the scaled rows (gns, pencil, quadratic), the
-    Hermitian mask, and per seed (label, pencil, quadratic, leak) arrays.
-    Raises for an insufficient family and for the first row whose routes
-    disagree or hold a NaN."""
+    Hermitian mask, and per seed (label, pencil, quadratic, leak) arrays.  A
+    leak is its block's Frobenius norm where that certifies the pencil
+    finite, and its largest |eigenvalue| elsewhere.  Raises for an
+    insufficient family and for the first row whose routes disagree or hold
+    a NaN."""
     ctx = family.context(alg, tol)
     dim_null = ctx.separation[0]
     if dim_null:
@@ -221,9 +223,17 @@ def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Toleranc
             continue
         GAX = G @ AX
         T = _hermitian_part(AX.conj().transpose(0, 2, 1) @ GAX)
-        # the leak is measured at the scale the block's rank was cut at
-        leak_rel = sec.leak(T) / max(full.wmax, 1e-300)
-        pen = np.where(leak_rel > tol.psd * np.maximum(1.0, fro2), np.inf, sec.gain(T))
+        # the leak L = N^H T N on the dropped directions, at the scale the
+        # block's rank was cut at.  |L|_2 <= |L|_F, so a row whose Frobenius
+        # value is below the threshold (with room for eigvalsh's rounding)
+        # is certified finite, and only the others take an eigensolve
+        wmax, slack = max(full.wmax, 1e-300), tol.psd * np.maximum(1.0, fro2)
+        L = _hermitian_part(sec.null_dirs.conj().T @ T @ sec.null_dirs)
+        leak_rel = np.linalg.norm(L, axis=(1, 2)) / wmax
+        over = np.flatnonzero(leak_rel > slack * (1.0 - 1e-12))
+        if over.size:
+            leak_rel[over] = np.abs(np.linalg.eigvalsh(L[over])).max(axis=-1, initial=0.0) / wmax
+        pen = np.where(leak_rel > slack, np.inf, sec.gain(T))
         q = np.zeros_like(pencil)
         if hix.size:
             Qs = sec.section.conj().T @ GAX[hix][:, a0_idx, :] @ sec.section
@@ -248,6 +258,16 @@ def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Toleranc
         raise CharacterizationMismatch({name: float(s[r]) * v for name, v in
                                         zip(_ROUTES, values[:3 if herm[r] else 2, r].tolist())})
     return s, values, herm, per_seed
+
+
+def _adjoints(C, alg: QuasiAlgebraInstance):
+    """The coefficients of a* for each row a of C.  A row with a non-finite
+    part maps to a NaN row, without an inf * 0 in the product."""
+    C = np.asarray(C)
+    bad = ~np.isfinite(C).all(axis=1)
+    Y = np.conj(np.where(bad[:, None], 0.0, C)) @ alg.star_matrix()[0].T
+    Y[bad] = np.nan
+    return Y
 
 
 @dataclass
@@ -282,9 +302,11 @@ def weak_products(A, B, family: FormFamily, alg: QuasiAlgebraInstance,
     with phi(c.x, y) = phi(b.x, a*.y) over the family, against the system's
     cached SVD.  Rank deficiency raises ``AmbiguousProduct`` for the whole
     stack before any residual is inspected, because a least-squares solution
-    would silently pick one representative of a coset.  Entry i is
+    would silently pick one representative of a coset.  Pairs with the same
+    right factor share its products with the Grams.  Entry i is
     ``(element, report)``, or the ``NotWellDefined`` of an inconsistent pair
-    or the ``ProductOverflow`` of a product beyond the float range.
+    (with NaN residuals for a non-finite factor) or the ``ProductOverflow``
+    of a product beyond the float range.
     """
     ctx = family.context(alg, tol)
     M, Uh, s, Vh = ctx.weak_system
@@ -295,25 +317,36 @@ def weak_products(A, B, family: FormFamily, alg: QuasiAlgebraInstance,
         Vh = np.linalg.svd(M)[2] if M.shape[0] < alg.dim else Vh
         raise AmbiguousProduct(Vh.conj().T[:, -1])
 
-    # bilinear in (a*, b): solve each pair scaled by 2^-k to largest parts in [1/2, 1)
-    parts = [np.ascontiguousarray(Y, dtype=complex).view(float)
-             for Y in (np.conj(A) @ alg.star_matrix()[0].T, B)]
-    k = [np.frexp(np.abs(Y).max(axis=1, initial=0.0))[1] for Y in parts]
+    # bilinear in (a*, b): solve each pair scaled by 2^-k to largest parts in [1/2, 1);
+    # a pair with a non-finite factor runs as zero, and its residual reads NaN below
+    Y = (_adjoints(A, alg), np.asarray(B, dtype=complex))
+    bad = ~np.isfinite(np.hstack(Y)).all(axis=1)
+    parts = [np.ascontiguousarray(np.where(bad[:, None], 0.0, y), dtype=complex).view(float)
+             for y in Y]
+    k = [np.frexp(np.abs(y).max(axis=1, initial=0.0))[1] for y in parts]
     R0 = _right_mults(alg, tol)
-    AS, BX = ((R0 @ np.ldexp(Y, -ky[:, None]).view(complex).T).transpose(2, 0, 1)
-              for Y, ky in zip(parts, k))
-    # column p, row (member, j, k): phi(b.x_j, a*.x_k) / |phi|, built one member
-    # at a time and for at most 2^13 entries at once, which bounds the memory held
+    AS, BX = ((R0 @ np.ldexp(y, -ky[:, None]).view(complex).T).transpose(2, 0, 1)
+              for y, ky in zip(parts, k))
+    # column p, row (member, j, k): phi(b.x_j, a*.x_k) / |phi|.  The product
+    # (b.x_j) u^T is taken once per member and distinct right factor, told
+    # apart by the bytes of its table b.x_j; each pair's block is finished
+    # from it, for at most 2^13 entries at once, which bounds the memory held
+    BX = np.ascontiguousarray(BX)
+    rows = BX.reshape(len(BX), alg.a0_dim * alg.dim)
+    _, first, inv = np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                              return_index=True, return_inverse=True)
     labels, units = ctx.nonzero
+    BXU = np.stack([BX[first] @ u.T for u in units], axis=1)
     ASh, step = AS.conj().transpose(0, 2, 1), max(1, 2 ** 13 // M.shape[0])
-    c, resid = np.empty((alg.dim, len(BX)), dtype=complex), np.empty((2, len(BX)))
-    for sl in (slice(lo, lo + step) for lo in range(0, len(BX), step)):
-        rt = np.stack([BX[sl] @ u.T @ ASh[sl] for u in units], axis=1).reshape(-1, M.shape[0])
+    c, resid = np.empty((alg.dim, len(AS)), dtype=complex), np.empty((2, len(AS)))
+    for sl in (slice(lo, lo + step) for lo in range(0, len(AS), step)):
+        rt = (BXU[inv[sl]] @ ASh[sl, None]).reshape(-1, M.shape[0])
         c[:, sl] = Vh.conj().T @ ((Uh @ rt.T) / s[:, None])
         # column norms as sums of squares of the real and imaginary parts
         D = (M @ c[:, sl] - rt.T).view(float).reshape(M.shape[0], -1, 2)
         R = rt.view(float)
         resid[:, sl] = np.sqrt([np.einsum("ijk,ijk->j", D, D), np.einsum("ij,ij->i", R, R)])
+    resid[:, bad] = np.nan
     e = k[0] + k[1]
     with np.errstate(over="ignore"):
         c = np.ldexp(np.ascontiguousarray(c.T).view(float), e[:, None]).view(complex)
@@ -337,17 +370,26 @@ def check_condition_product(family: FormFamily, alg: QuasiAlgebraInstance,
 
     For each of the d^2 ordered basis pairs the product of representation
     matrices must be expressible as the representation of some algebra
-    element, jointly across the dense generators, all in one least-squares
-    solve.  Reports the failing pairs, if any.
+    element, jointly across the dense generators.  The products come from
+    one matrix product per representation, and every pair is solved at
+    once for lstsq's minimum-norm solution, from one thin SVD of the
+    stacked representation map cut where lstsq cuts.  Reports the failing
+    pairs, if any.
     """
     ctx = family.context(alg, tol)
     M = np.vstack(ctx.rep_blocks)
-    left, right = np.divmod(np.arange(alg.dim ** 2), alg.dim)
+    d = alg.dim
+    left, right = np.divmod(np.arange(d ** 2), d)
 
-    # one column per pair: the products pi(a_i) pi(a_j) across the representations
-    target = np.hstack([(P[left] @ P[right]).reshape(len(left), P.shape[-1] ** 2)
-                        for P in (rep.rep_mats for rep in ctx.reps)]).T
-    C, *_ = np.linalg.lstsq(M, target, rcond=None)
+    # one column per pair: the products pi(a_i) pi(a_j) across the representations,
+    # all pairs of one representation as one (d r, r) @ (r, d r) product
+    target = np.hstack([(P.reshape(d * r, r) @ P.transpose(1, 0, 2).reshape(r, d * r))
+                        .reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, r * r)
+                        for P, r in ((rep.rep_mats, rep.dim_H) for rep in ctx.reps)]).T
+    # lstsq's minimum-norm solution from the thin SVD of M, cut where lstsq cuts
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(M.shape) * s.max(initial=0.0)
+    C = Vh[keep].conj().T @ ((U[:, keep].conj().T @ target) / s[keep, None])
     rel = (np.linalg.norm(M @ C - target, axis=0)
            / np.maximum(np.linalg.norm(target, axis=0), 1.0))
     worst = float(rel.max(initial=0.0))
@@ -437,15 +479,18 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
     """Norm table plus normed-algebra laws on a probe set.
 
     Verifies, over the probes: star invariance of the norm, the triangle
-    inequality, submultiplicativity across weak products, and the
+    inequality (over pairs i < j: a sum is symmetric, and a_i + a_i only
+    doubles a_i's norm), submultiplicativity across weak products, and the
     square-of-norm identity for a* o a.  Pairs whose weak product does not
     resolve are recorded and skipped.  The products are solved first, so
     every norm the laws need is taken in one stack.
     """
     P = np.reshape([p.coeffs for p in probes], (len(probes), alg.dim))
-    Ps = P.conj() @ alg.star_matrix()[0].T
+    Ps = _adjoints(P, alg)
     n, m = len(P), min(len(P), 8)
     left, right = np.divmod(np.arange(m * m), m)
+    # the triangle law over i < j: the sum is symmetric, and 2 a_i scales to a_i
+    ti, tj = np.triu_indices(m, 1)
 
     # the pairs (i, j), then the squares a_i* o a_i
     try:
@@ -458,20 +503,19 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
             raise out
     kept = [(idx, out[0].coeffs) for idx, out in enumerate(prods) if isinstance(out, tuple)]
 
-    # one stack: the probes, their adjoints, the pairwise sums, the products
-    values, herm = m_bounded_values(np.vstack([P, Ps, P[left] + P[right], *(c for _, c in kept)]),
+    # one stack: the probes, their adjoints, the sums over i < j, the products
+    values, herm = m_bounded_values(np.vstack([P, Ps, P[ti] + P[tj], *(c for _, c in kept)]),
                                     family, alg, tol)
     values = values.tolist()
-    norms, found = values[:n], values[2 * n + m * m:]
+    norms, sums, found = values[:n], values[2 * n:2 * n + len(ti)], values[2 * n + len(ti):]
     table = [{"probe": idx, "norm": v, "hermitian": bool(h)}
              for idx, (v, h) in enumerate(zip(norms, herm))]
 
     # max([0.0, *values]) skips a NaN the way a running max from 0.0 does
     worst_star = max([0.0, *(abs(value - v) / max(v, 1.0)
                              for value, v in zip(values[n:2 * n], norms))])
-    bounds = [norms[i] + norms[j] for i, j in zip(left, right)]
-    worst_tri = max([0.0, *((value - b) / max(b, 1.0)
-                            for value, b in zip(values[2 * n:2 * n + m * m], bounds))])
+    bounds = [norms[i] + norms[j] for i, j in zip(ti, tj)]
+    worst_tri = max([0.0, *((value - b) / max(b, 1.0) for value, b in zip(sums, bounds))])
     worst_sub = worst_cstar = 0.0
     for (idx, _), value in zip(kept, found):
         if idx < m * m:

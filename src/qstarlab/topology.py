@@ -47,7 +47,8 @@ class BoundedFormSet:
     @classmethod
     def from_family(cls, family: FormFamily, alg: QuasiAlgebraInstance,
                     tol: ToleranceConfig = DEFAULT_TOL):
-        return cls(np.stack(family.context(alg, tol).closure[1]), label=family.label)
+        # an empty closure reaches the constructor's EmptyFamily check
+        return cls(family.context(alg, tol).closure[1], label=family.label)
 
     def __len__(self):
         return len(self.grams)

@@ -6,13 +6,15 @@ import pytest
 from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, AmbiguousProduct, CharacterizationMismatch,
                       FamilyNotBalanced, GnsRep, NotSufficient,
-                      NotWellDefined, ProductOverflow, build_gns, check_condition_product,
+                      NotWellDefined, ProductOverflow, check_condition_product,
                       cone_intersection_null, cone_membership,
                       cone_witness_element, extract_bounded_algebra,
-                      FormFamily, IpsForm, load_bundle, m_bounded_norm, radical,
+                      FormFamily, IpsForm, bundle_names, load_bundle, m_bounded_norm, radical,
                       weak_product, weak_products)
-from qstarlab.bounded import _null_basis, m_bounded_values
-from qstarlab.forms import check_sufficiency
+from qstarlab import bounded
+from qstarlab.algebra import scaled_rows
+from qstarlab.bounded import _norm_routes, _null_basis, m_bounded_values
+from qstarlab.forms import _hermitian_part, _right_mults, check_sufficiency
 from qstarlab.report import CheckResult, dumps
 from qstarlab.topology import ga_star_check
 
@@ -219,24 +221,42 @@ def test_condition_product_verdicts(m2, good):
     assert out2["n_failures"] >= 1
 
 
-def test_condition_product_matches_per_pair_reference():
-    # one lstsq per pair, as a reference for the single multi-column solve
-    m3 = load_bundle("m3_pattern")
-    inst, fam = m3["instance"], m3["families"]["good"]
-    reps = [build_gns(phi, inst) for phi in fam.dense_forms(inst)]
-    probes = [inst.basis_element(i) for i in range(inst.dim)]
-    M = np.column_stack([np.concatenate([r.rep_matrix(e).reshape(-1) for r in reps])
-                         for e in probes])
+def _per_pair_lstsq(family, alg, tol=DEFAULT_TOL):
+    """Relative residual of each ordered basis pair's product, one lstsq per pair."""
+    reps = family.context(alg, tol).reps
+    M = np.vstack([rep.rep_mats.reshape(alg.dim, -1).T for rep in reps])
     rel = []
-    for a in probes:
-        for b in probes:
-            t = np.concatenate([(r.rep_matrix(a) @ r.rep_matrix(b)).reshape(-1)
-                                for r in reps])
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            t = np.concatenate([(rep.rep_mats[i] @ rep.rep_mats[j]).reshape(-1) for rep in reps])
             c = np.linalg.lstsq(M, t, rcond=None)[0]
             rel.append(np.linalg.norm(M @ c - t) / max(np.linalg.norm(t), 1.0))
-    out = check_condition_product(fam, inst)
-    assert out["worst_relative_residual"] == pytest.approx(max(rel), rel=1e-9)
-    assert out["n_failures"] == sum(r > 1e-8 for r in rel)
+    return M.shape, np.linalg.matrix_rank(M), rel
+
+
+def test_condition_product_matches_per_pair_reference():
+    # one lstsq per pair, as a reference for the single SVD solve: the same
+    # verdict and failing pairs, and the worst residual to 1e-9 of
+    # max(1, residual), the scale its rounding is measured at
+    pairs = [(b["instance"], fam) for b in map(load_bundle, bundle_names())
+             for fam in b["families"].values() if fam.context(b["instance"], DEFAULT_TOL).dense_seeds]
+    for n in (4, 6):
+        pairs += make_corpus(count=2, seed=80 + n, n_min=n, n_max=n)
+    maps = []
+    for inst, fam in pairs:
+        shape, rank, rel = _per_pair_lstsq(fam, inst)
+        maps.append((shape, rank))
+        out = check_condition_product(fam, inst)
+        failing = [(k // inst.dim, k % inst.dim) for k, v in enumerate(rel) if v > DEFAULT_TOL.weak]
+        assert out["holds"] == (not failing)
+        assert out["n_failures"] == len(failing)
+        assert [(f["left"], f["right"]) for f in out["failures"]] == failing[:10]
+        worst = max(rel)
+        assert abs(out["worst_relative_residual"] - worst) <= 1e-9 * max(1.0, worst)
+    # m3_pattern's good family fails, and m2_flip's amb family stacks a 1 x 2 map of rank 1
+    assert not check_condition_product(load_bundle("m3_pattern")["families"]["good"],
+                                       load_bundle("m3_pattern")["instance"])["holds"]
+    assert ((1, 2), 1) in maps
 
 
 def test_weak_product_matches_row_by_row_reference():
@@ -416,11 +436,11 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _infinite_norm_family():
-    # m3_pattern's good family plus the non-dense Gram seed E55 + 1e-6 11^T
+def _infinite_norm_family(eps=1e-6):
+    # m3_pattern's good family plus the non-dense Gram seed E55 + eps 11^T
     m3 = load_bundle("m3_pattern")
     inst, good = m3["instance"], m3["families"]["good"]
-    G = np.full((7, 7), 1e-6)
+    G = np.full((7, 7), eps)
     G[5, 5] += 1.0
     seed = IpsForm("gram", G, "E55")
     return inst, FormFamily(good.seeds + (seed,), good.balanced, good.twist_depth, "good+E55")
@@ -480,3 +500,78 @@ def test_norm_values_are_the_reports_fields(m2, good, monkeypatch):
             call()
         raised.append(str(err.value))
     assert raised[0] == raised[1]
+
+
+def _pencil_with_every_leak_solved(C, family, alg, tol=DEFAULT_TOL):
+    """The pencil route of each row, scaled back, with every leak taken by
+    eigvalsh as ``QuotientSection.leak`` takes it, and the per-seed leaks:
+    the reference for the Frobenius certificate."""
+    ctx = family.context(alg, tol)
+    X, s = scaled_rows(C)
+    mats = (X @ np.reshape(alg.basis, (alg.dim, -1))).reshape(-1, alg.n, alg.n)
+    slack = tol.psd * np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)) ** 2)
+    AX = (_right_mults(alg, tol) @ X.T).transpose(2, 1, 0)
+    pencil, leaks = np.zeros(len(X)), []
+    for G, (full, sec) in zip(ctx.seed_grams, ctx.sections):
+        if not sec.w.size:
+            continue
+        T = _hermitian_part(AX.conj().transpose(0, 2, 1) @ (G @ AX))
+        leak = sec.leak(T) / max(full.wmax, 1e-300)
+        pencil = np.maximum(pencil, np.where(leak > slack, np.inf, sec.gain(T)))
+        leaks.append((leak, slack))
+    return s * pencil, leaks
+
+
+def test_leak_certificate_keeps_every_decision_and_value():
+    pairs = [(b["instance"], fam) for b in map(load_bundle, bundle_names())
+             for fam in b["families"].values()]
+    for n in (4, 6):
+        pairs += make_corpus(count=2, seed=90 + n, n_min=n, n_max=n)
+    pairs += [_infinite_norm_family(eps) for eps in (1e-9, 1e-6, 1e-3)]
+    rng = np.random.default_rng(31)
+    unbounded = 0
+    for inst, fam in pairs:
+        if fam.context(inst, DEFAULT_TOL).separation[0]:
+            continue
+        d = inst.dim
+        rand = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        C = np.vstack([np.eye(d), rand, rand[0] + inst.element(rand[0]).star().coeffs,
+                       1e-200 * rand[1], 1e300 * rand[2], np.zeros(d)])
+        want, leaks = _pencil_with_every_leak_solved(C, fam, inst)
+        got = m_bounded_values(C, fam, inst)[0]
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.array_equal(got, want)
+        # the reported leak is the one the decision used: eigvalsh's above the
+        # threshold, and a bound below it everywhere else
+        per_seed = _norm_routes(C, fam, inst, DEFAULT_TOL)[3]
+        assert len(per_seed) == len(leaks)
+        for (_, _, _, leak), (full, slack) in zip(per_seed, leaks):
+            over = full > slack
+            assert np.array_equal(leak[over], full[over])
+            assert (leak[~over] <= slack[~over]).all()
+        unbounded += int(np.isinf(got).sum())
+    assert unbounded > 0
+
+
+def test_bounded_algebra_norm_stack_takes_each_triangle_sum_once(monkeypatch):
+    # the norm stack holds the probes, their adjoints, the sums over i < j
+    # and the resolved products: 2n + m(m - 1)/2 + resolved rows
+    rows = []
+    values = bounded.m_bounded_values
+    monkeypatch.setattr(bounded, "m_bounded_values",
+                        lambda C, *a: rows.append(len(C)) or values(C, *a))
+    cases = [(b["instance"], fam) for b in map(load_bundle, ("m2_diag", "m2_full", "m3_pattern"))
+             for fam in b["families"].values()]
+    cases += make_corpus(count=2, seed=64, n_min=4, n_max=4) + [_infinite_norm_family()]
+    for inst, fam in cases:
+        if fam.context(inst, DEFAULT_TOL).separation[0]:
+            continue
+        probes = [inst.basis_element(i) for i in range(inst.dim)]
+        probes += [p.star() for p in probes]
+        for k in (1, 6, 12):
+            rows.clear()
+            out = extract_bounded_algebra(fam, inst, probes[:k])
+            n = len(probes[:k])
+            m = min(n, 8)
+            resolved = m * m + m - out["skipped_products"]
+            assert rows == [2 * n + m * (m - 1) // 2 + resolved]

@@ -275,6 +275,24 @@ def test_negative_twist_depth_flag_is_exit_2():
         assert out.stdout == ""
 
 
+def test_all_zero_family_is_a_typed_error(tmp_path):
+    # the closure of a zero seed is empty: forms reports it, and the
+    # commands that need a form exit 3 with a typed error, not a traceback
+    bundle = _m2_diag()
+    bundle["families"] = {"zero": {"generators": [{"kind": "vector_state", "S": [[0, 0], [0, 0]],
+                                                   "label": "z"}],
+                                   "balanced": True, "twist_depth": 1, "label": "zero"}}
+    path = _written(tmp_path, bundle)
+    out = run("forms", path, "--family", "zero")
+    assert out.returncode == 0 and json.loads(out.stdout)["report"]["closure_size"] == 0
+    for sub, error in (("topology", "EmptyFamily"), ("gastar", "ZeroForm"),
+                       ("radical", "ZeroForm")):
+        out = run(sub, path, "--family", "zero")
+        assert out.returncode == 3, (sub, out.stderr)
+        assert json.loads(out.stdout)["error"] == error
+        assert "Traceback" not in out.stderr
+
+
 def test_vector_state_of_the_wrong_size_is_exit_2(tmp_path):
     bundle = _m2_diag()
     bundle["families"]["good"]["generators"][0]["S"] = [[1]]

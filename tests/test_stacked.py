@@ -9,6 +9,8 @@ from qstarlab import (DEFAULT_TOL, AmbiguousProduct, BoundedFormSet,
                       bundle_names, extract_bounded_algebra, load_bundle, m_bounded_norm,
                       m_bounded_values, p_lower, p_star, p_upper, seminorms, weak_product,
                       weak_products)
+from qstarlab.bounded import WeakProductReport
+from qstarlab.forms import _right_mults
 
 TOL = DEFAULT_TOL.cross_check
 
@@ -131,9 +133,9 @@ def test_stacked_weak_products_raise_ambiguity_for_the_whole_stack():
 
 def test_non_finite_rows_raise_the_typed_error_on_every_family():
     # a row with a NaN or infinite part runs as zero and its routes read
-    # NaN, so it raises CharacterizationMismatch and never reaches LAPACK.
-    # extract_bounded_algebra takes the NaN rows only: an infinite probe
-    # meets inf * 0 in its products first, which numpy warns about
+    # NaN, so it raises CharacterizationMismatch and never reaches LAPACK;
+    # extract_bounded_algebra zeroes it before its products too, so an
+    # infinite probe meets no inf * 0 that numpy would warn about
     for name in bundle_names():
         b = load_bundle(name)
         inst = b["instance"]
@@ -147,12 +149,10 @@ def test_non_finite_rows_raise_the_typed_error_on_every_family():
             rows[3, -1] = complex(nan, 1.0)
             rows[4, 0] = complex(1.0, -inf)
             rows[5, 0], rows[5, -1] = -inf, nan
-            for k, row in enumerate(rows):
+            for row in rows:
                 calls = [lambda: m_bounded_norm(inst.element(row), fam, inst),
-                         lambda: m_bounded_values(row[None], fam, inst)]
-                if k < 4:
-                    calls.append(lambda: extract_bounded_algebra(
-                        fam, inst, [inst.unit, inst.element(row)]))
+                         lambda: m_bounded_values(row[None], fam, inst),
+                         lambda: extract_bounded_algebra(fam, inst, [inst.unit, inst.element(row)])]
                 for call in calls:
                     with pytest.raises(CharacterizationMismatch):
                         call()
@@ -164,3 +164,111 @@ def test_non_finite_rows_raise_the_typed_error_on_every_family():
                 m_bounded_norm(inst.element(rows[1]), fam, inst)
             assert str(stack.value) == str(one.value)
             assert all(np.isnan(v) for v in stack.value.values.values())
+
+
+def _weak_products_per_pair(A, B, family, alg, tol=DEFAULT_TOL):
+    """``weak_products`` with each pair's right-hand side built from its own
+    right factor, one member at a time: the reference that sharing the
+    products of repeated right factors must match bit for bit."""
+    ctx = family.context(alg, tol)
+    M, Uh, s, Vh = ctx.weak_system
+    smax = float(s.max(initial=0.0))
+    smin = float(s.min()) if s.size else 0.0
+    if M.shape[0] < alg.dim or smin <= tol.rank * max(smax, 1e-300):
+        raise AmbiguousProduct(None)
+    parts = [np.ascontiguousarray(Y, dtype=complex).view(float)
+             for Y in (np.conj(A) @ alg.star_matrix()[0].T, B)]
+    k = [np.frexp(np.abs(Y).max(axis=1, initial=0.0))[1] for Y in parts]
+    R0 = _right_mults(alg, tol)
+    AS, BX = ((R0 @ np.ldexp(Y, -ky[:, None]).view(complex).T).transpose(2, 0, 1)
+              for Y, ky in zip(parts, k))
+    labels, units = ctx.nonzero
+    ASh, step = AS.conj().transpose(0, 2, 1), max(1, 2 ** 13 // M.shape[0])
+    c, resid = np.empty((alg.dim, len(BX)), dtype=complex), np.empty((2, len(BX)))
+    for sl in (slice(lo, lo + step) for lo in range(0, len(BX), step)):
+        rt = np.stack([BX[sl] @ u.T @ ASh[sl] for u in units], axis=1).reshape(-1, M.shape[0])
+        c[:, sl] = Vh.conj().T @ ((Uh @ rt.T) / s[:, None])
+        D = (M @ c[:, sl] - rt.T).view(float).reshape(M.shape[0], -1, 2)
+        R = rt.view(float)
+        resid[:, sl] = np.sqrt([np.einsum("ijk,ijk->j", D, D), np.einsum("ij,ij->i", R, R)])
+    e = k[0] + k[1]
+    with np.errstate(over="ignore"):
+        c = np.ldexp(np.ascontiguousarray(c.T).view(float), e[:, None]).view(complex)
+        back = np.ldexp(resid, e).T
+    out = []
+    for ci, (res, rn), br, ei in zip(c, resid.T, back, e.tolist()):
+        if not res <= tol.weak * max(rn, 1e-300):
+            out.append(NotWellDefined(*br))
+        elif not (np.isfinite(ci).all() and np.isfinite(br).all()):
+            out.append(ProductOverflow(f"weak product overflows the float range: scale 2^{ei}"))
+        else:
+            out.append((alg.element(ci), WeakProductReport(
+                *br.tolist(), smin, smax, M.shape[0], list(labels))))
+    return out
+
+
+def _bits(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    c, rep = outcome
+    return c.coeffs.tobytes(), rep.as_dict()
+
+
+def test_weak_products_match_the_per_pair_right_hand_sides_bit_for_bit():
+    pairs = [(b["instance"], fam) for b in map(load_bundle, bundle_names())
+             for fam in b["families"].values()]
+    for n in (4, 6):
+        pairs += make_corpus(count=3, seed=70 + n, n_min=n, n_max=n)
+    rng = np.random.default_rng(23)
+    shared = 0
+    for inst, fam in pairs:
+        d = inst.dim
+        # extract_bounded_algebra's pattern: the pairs of six probes, then the squares
+        P = np.vstack([np.eye(d), np.eye(d).conj() @ inst.star_matrix()[0].T])[:6]
+        m = len(P)
+        left, right = np.divmod(np.arange(m * m), m)
+        R = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+        stacks = [
+            (np.vstack([P[left], P.conj() @ inst.star_matrix()[0].T]), np.vstack([P[right], P])),
+            # one right factor for every pair, and one at a scale that shares its scaled bytes
+            (R, np.vstack([R[:1]] * 5 + [2.0 ** 700 * R[:1]])),
+            (R[:3], R[[4, 1, 4]]),
+            (R, R[::-1]),
+            (R[:1], R[1:2]),
+            (np.vstack([R, 1e-200 * R]), np.vstack([np.roll(R, 1, axis=0), R])),
+        ]
+        for A, B in stacks:
+            try:
+                want = [_bits(o) for o in _weak_products_per_pair(A, B, fam, inst)]
+            except AmbiguousProduct:
+                with pytest.raises(AmbiguousProduct):
+                    weak_products(A, B, fam, inst)
+                continue
+            assert [_bits(o) for o in weak_products(A, B, fam, inst)] == want
+            shared += 1
+    assert shared >= 60
+
+
+def test_infinite_probes_raise_without_numpy_warnings():
+    # under the suite's error::RuntimeWarning a warning fails the test; the
+    # outcomes are those a NaN probe has: the norm routes raise on the probe,
+    # and a pair with a non-finite factor is inconsistent with NaN residuals
+    for name in bundle_names():
+        b = load_bundle(name)
+        inst = b["instance"]
+        for fam in b["families"].values():
+            if fam.context(inst, DEFAULT_TOL).separation[0]:
+                continue
+            a0, a1 = np.eye(inst.dim)[[inst.a0_indices[0], inst.a0_indices[-1]]]
+            bent = a0.astype(complex)
+            bent[inst.a0_indices[-1]] += complex(1.0, -np.inf)
+            for probe in (np.where(a0 == 1.0, np.inf, 0.0), bent):
+                P = np.vstack([inst.unit.coeffs, probe])
+                with pytest.raises(CharacterizationMismatch) as exc:
+                    extract_bounded_algebra(fam, inst, [inst.element(p) for p in P])
+                assert str(exc.value) == "norm characterizations disagree: gns=nan, pencil=nan"
+                out = weak_products(P[[0, 1, 1, 0]], P[[1, 0, 1, 0]], fam, inst)
+                for bad in out[:3]:
+                    assert isinstance(bad, NotWellDefined)
+                    assert np.isnan(bad.residual) and np.isnan(bad.rhs_norm)
+                assert isinstance(out[3], tuple)
