@@ -128,9 +128,12 @@ class QuasiAlgebraInstance:
 
     @cached_property
     def _star(self):
+        """``star_matrix()``: S and the Frobenius norm of each adjoint's
+        residual against the span, which structure validation reads as its
+        involution closure."""
         star = np.column_stack([m.conj().T.reshape(-1) for m in self.basis])
         S = self._pinv @ star
-        return S, float(np.abs(self._bmat @ S - star).max(initial=0.0))
+        return S, np.linalg.norm(self._bmat @ S - star, axis=0)
 
     # -- membership ---------------------------------------------------------
 
@@ -207,8 +210,19 @@ class QuasiAlgebraInstance:
 
     def star_matrix(self):
         """Coefficient matrix of the involution: column i holds coeffs(a_i^H).
-        Returns ``(S, max_residual)``."""
+        Returns ``(S, residuals)``, ``residuals[i]`` the Frobenius norm of the
+        part of a_i^H outside the span."""
         return self._star
+
+    def adjoints(self, C):
+        """The coefficients of a* for each row a of a (k, d) coefficient
+        stack C: the one map of the involution on coefficients.  A row with
+        a non-finite part maps to a NaN row, without an inf * 0 in the product."""
+        C = np.asarray(C)
+        bad = ~np.isfinite(C).all(axis=1)
+        Y = np.conj(np.where(bad[:, None], 0.0, C)) @ self._star[0].T
+        Y[bad] = np.nan
+        return Y
 
     @property
     def right_mult_table(self):
@@ -319,8 +333,7 @@ class Element:
         Antilinear: the coefficient vector is conjugated before the basis
         star map is applied.
         """
-        S, _ = self.alg.star_matrix()
-        return Element(self.alg, S @ self.coeffs.conj())
+        return Element(self.alg, self.alg.adjoints(self.coeffs[None])[0])
 
     def norm_frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -437,7 +450,8 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
             "worst_pair", lambda j, k: (ix[j], ix[k]))
     closure("subalgebra-involution-closure", resid(adj(X), True), nx,
             "worst_index", lambda j: ix[j])
-    closure("involution-closure", resid(adj(B), False), nb,
+    # the adjoints a_i^H and their residuals come from the instance's involution matrix
+    closure("involution-closure", alg.star_matrix()[1], nb,
             "worst_index", lambda i: i)
     # the right half, a_i x_j, comes from the instance's right-multiplication table
     closure("bimodule-closure",

@@ -260,16 +260,6 @@ def _norm_routes(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Toleranc
     return s, values, herm, per_seed
 
 
-def _adjoints(C, alg: QuasiAlgebraInstance):
-    """The coefficients of a* for each row a of C.  A row with a non-finite
-    part maps to a NaN row, without an inf * 0 in the product."""
-    C = np.asarray(C)
-    bad = ~np.isfinite(C).all(axis=1)
-    Y = np.conj(np.where(bad[:, None], 0.0, C)) @ alg.star_matrix()[0].T
-    Y[bad] = np.nan
-    return Y
-
-
 @dataclass
 class WeakProductReport:
     residual: float
@@ -319,7 +309,7 @@ def weak_products(A, B, family: FormFamily, alg: QuasiAlgebraInstance,
 
     # bilinear in (a*, b): solve each pair scaled by 2^-k to largest parts in [1/2, 1);
     # a pair with a non-finite factor runs as zero, and its residual reads NaN below
-    Y = (_adjoints(A, alg), np.asarray(B, dtype=complex))
+    Y = (alg.adjoints(A), np.asarray(B, dtype=complex))
     bad = ~np.isfinite(np.hstack(Y)).all(axis=1)
     parts = [np.ascontiguousarray(np.where(bad[:, None], 0.0, y), dtype=complex).view(float)
              for y in Y]
@@ -486,7 +476,7 @@ def extract_bounded_algebra(family: FormFamily, alg: QuasiAlgebraInstance,
     every norm the laws need is taken in one stack.
     """
     P = np.reshape([p.coeffs for p in probes], (len(probes), alg.dim))
-    Ps = _adjoints(P, alg)
+    Ps = alg.adjoints(P)
     n, m = len(P), min(len(P), 8)
     left, right = np.divmod(np.arange(m * m), m)
     # the triangle law over i < j: the sum is symmetric, and 2 a_i scales to a_i

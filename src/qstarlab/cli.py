@@ -118,11 +118,6 @@ def _at_depth(fam: FormFamily, args) -> FormFamily:
     return FormFamily(fam.seeds, fam.balanced, args.twist_depth, fam.label)
 
 
-def _load_family(args):
-    inst, families, _ = _load_source(args.source)
-    return inst, _at_depth(_pick_family(families, args.family, args.source), args)
-
-
 def _finite(values, text: str, what: str):
     if not all(map(cmath.isfinite, values)):
         raise ParseError(text, f"{what} must be finite")
@@ -147,25 +142,39 @@ def _csv_complex(text: str, what: str):
 
 
 # -- subcommand handlers ----------------------------------------------------
+# Each handler takes the parsed arguments, the tolerances and what _setup
+# loaded for it, and returns its report: the payload after _setup's head.
 
 
-def _cmd_validate(args, tol):
+def _setup(reads, args):
+    """``(head, inputs)`` for a subcommand that reads ``reads`` (None,
+    "source" or "family"): the payload's head, and what its handler takes
+    after ``args`` and ``tol``.  A source gives the instance and every
+    family, a family the instance and the chosen family; families are at
+    the ``--twist-depth`` override if one is given."""
+    head = {"command": args.cmd}
+    if reads is None:
+        return head, ()
     inst, families, desc = _load_source(args.source)
-    report = validate_structure(inst, tol)
-    return {"command": "validate", "source": args.source, "description": desc,
-            "report": report.as_dict()}
+    head["source"] = args.source
+    if reads == "source":
+        head["description"] = desc
+        return head, (inst, {name: _at_depth(fam, args) for name, fam in families.items()})
+    fam = _at_depth(_pick_family(families, args.family, args.source), args)
+    head["family"] = fam.label
+    return head, (inst, fam)
 
 
-def _cmd_forms(args, tol):
-    inst, fam = _load_family(args)
+def _cmd_validate(args, tol, inst, families):
+    return {"report": validate_structure(inst, tol).as_dict()}
+
+
+def _cmd_forms(args, tol, inst, fam):
     report = validate_family(fam, inst, tol)
-    suff = fam.sufficiency(inst, tol)
-    return {"command": "forms", "source": args.source, "family": fam.label,
-            "report": report.as_dict(), "sufficiency": suff.as_dict()}
+    return {"report": report.as_dict(), "sufficiency": fam.sufficiency(inst, tol).as_dict()}
 
 
-def _cmd_gns(args, tol):
-    inst, fam = _load_family(args)
+def _cmd_gns(args, tol, inst, fam):
     ctx = fam.context(inst, tol)
     reps = dict(zip(ctx.dense_seeds, ctx.reps)) if ctx.dense_seeds else {}
     out = []
@@ -180,51 +189,38 @@ def _cmd_gns(args, tol):
             "residual_rep": rep.residual_rep,
             "reconstruction_defect": reconstruction_defect(rep),
         })
-    return {"command": "gns", "source": args.source, "family": fam.label,
-            "representations": out}
+    return {"representations": out}
 
 
-def _cmd_cone(args, tol):
-    inst, fam = _load_family(args)
+def _cmd_cone(args, tol, inst, fam):
     a = _parse_element(inst, args.element)
     report = cone_membership(a, fam, inst, tol)
-    payload = {"command": "cone", "source": args.source, "family": fam.label,
-               "element": args.element, "report": report.as_dict()}
+    out = {"element": args.element, "report": report.as_dict()}
     if not report.member and report.witness_coeffs is not None:
         w = cone_witness_element(report, inst)
-        payload["witness_pairing"] = pairs(report.witness_value)
-        payload["witness_norm"] = w.norm_frobenius()
-    return payload
+        out["witness_pairing"] = pairs(report.witness_value)
+        out["witness_norm"] = w.norm_frobenius()
+    return out
 
 
-def _cmd_norm(args, tol):
-    inst, fam = _load_family(args)
+def _cmd_norm(args, tol, inst, fam):
     a = _parse_element(inst, args.element)
-    report = m_bounded_norm(a, fam, inst, tol)
-    return {"command": "norm", "source": args.source, "family": fam.label,
-            "element": args.element, "report": report.as_dict()}
+    return {"element": args.element, "report": m_bounded_norm(a, fam, inst, tol).as_dict()}
 
 
-def _cmd_weakprod(args, tol):
-    inst, fam = _load_family(args)
+def _cmd_weakprod(args, tol, inst, fam):
     a = _parse_element(inst, args.left)
     b = _parse_element(inst, args.right)
     c, rep = weak_product(a, b, fam, inst, tol)
-    return {"command": "weakprod", "source": args.source, "family": fam.label,
-            "left": args.left, "right": args.right,
-            "coeffs": pairs(c.coeffs),
-            "report": rep.as_dict()}
+    return {"left": args.left, "right": args.right,
+            "coeffs": pairs(c.coeffs), "report": rep.as_dict()}
 
 
-def _cmd_radical(args, tol):
-    inst, fam = _load_family(args)
-    report = radical(fam, inst, tol)
-    return {"command": "radical", "source": args.source, "family": fam.label,
-            "report": report.as_dict()}
+def _cmd_radical(args, tol, inst, fam):
+    return {"report": radical(fam, inst, tol).as_dict()}
 
 
-def _cmd_topology(args, tol):
-    inst, fam = _load_family(args)
+def _cmd_topology(args, tol, inst, fam):
     F = BoundedFormSet.from_family(fam, inst, tol)
     a = _parse_element(inst, args.element) if args.element else inst.unit
     probes = standard_probes(inst, count=args.probes, seed=args.seed)
@@ -232,7 +228,6 @@ def _cmd_topology(args, tol):
                    for j in range(inst.a0_dim)]
     comparison = compare_topologies(F, "upper", F, "star", probes)
     return {
-        "command": "topology", "source": args.source, "family": fam.label,
         "set_size": len(F), "gamma": gamma(F, inst),
         "element": args.element or "e",
         "seminorms": {kind: seminorm_eval(F, a, kind) for kind in SEMINORM_KINDS},
@@ -241,11 +236,8 @@ def _cmd_topology(args, tol):
     }
 
 
-def _cmd_gastar(args, tol):
-    inst, fam = _load_family(args)
-    report = ga_star_check(fam, inst, tol)
-    return {"command": "gastar", "source": args.source, "family": fam.label,
-            "report": report.as_dict()}
+def _cmd_gastar(args, tol, inst, fam):
+    return {"report": ga_star_check(fam, inst, tol).as_dict()}
 
 
 def _cmd_lp(args, tol):
@@ -265,7 +257,7 @@ def _cmd_lp(args, tol):
     oracle = weight_ascent_oracle(values, args.exponent, masses)
     norm = lp_bounded_norm(values, args.exponent, masses, tol)
     return {
-        "command": "lp", "points": k, "exponent": float(args.exponent),
+        "points": k, "exponent": float(args.exponent),
         "masses": masses,
         "values": pairs(values),
         "holder": {
@@ -281,28 +273,34 @@ def _cmd_lp(args, tol):
     }
 
 
-def _cmd_all(args, tol):
-    inst, families, desc = _load_source(args.source)
-    payload = {"command": "all", "source": args.source, "description": desc,
-               "structure": validate_structure(inst, tol).as_dict(),
-               "families": {}}
+def _cmd_all(args, tol, inst, families):
+    out = {"structure": validate_structure(inst, tol).as_dict(), "families": {}}
     for name in sorted(families):
-        fam = _at_depth(families[name], args)
+        fam = families[name]
         validation = validate_family(fam, inst, tol).as_dict()
         suff = fam.sufficiency(inst, tol)
         entry = {"validation": validation, "sufficiency": suff.as_dict(),
                  "radical_dim": radical(fam, inst, tol).dim}
         if suff.sufficient:
             entry["gastar_verdict"] = ga_star_check(fam, inst, tol).verdict
-        payload["families"][name] = entry
-    return payload
+        out["families"][name] = entry
+    return out
 
 
-_HANDLERS = {
-    "validate": _cmd_validate, "forms": _cmd_forms, "gns": _cmd_gns,
-    "cone": _cmd_cone, "norm": _cmd_norm, "weakprod": _cmd_weakprod,
-    "radical": _cmd_radical, "topology": _cmd_topology,
-    "gastar": _cmd_gastar, "lp": _cmd_lp, "all": _cmd_all,
+# name: (what the subcommand reads, its help text, its handler).  The one
+# table drives both the parser and the dispatch, in this order.
+_COMMANDS = {
+    "validate": ("source", "structural axioms of an instance", _cmd_validate),
+    "forms": ("family", "validate a family and its closure", _cmd_forms),
+    "gns": ("family", "representation data for the dense seeds", _cmd_gns),
+    "cone": ("family", "positive-wedge membership of an element", _cmd_cone),
+    "norm": ("family", "bounded-element norm by all routes", _cmd_norm),
+    "weakprod": ("family", "weak product of two elements", _cmd_weakprod),
+    "radical": ("family", "joint degeneracy space of a family", _cmd_radical),
+    "topology": ("family", "seminorm values and multiplication bounds", _cmd_topology),
+    "gastar": ("family", "candidate qualification and consequences", _cmd_gastar),
+    "lp": (None, "discrete function model: extremal weights", _cmd_lp),
+    "all": ("source", "full report over every family in the source", _cmd_all),
 }
 
 
@@ -365,20 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "with invariant form families",
         parents=[common])
     sub = parser.add_subparsers(dest="cmd", required=True)
-    on_source, on_family = [common, source], [common, source, family]
-    p = {name: sub.add_parser(name, help=help_text, parents=parents)
-         for name, parents, help_text in (
-             ("validate", on_source, "structural axioms of an instance"),
-             ("forms", on_family, "validate a family and its closure"),
-             ("gns", on_family, "representation data for the dense seeds"),
-             ("cone", on_family, "positive-wedge membership of an element"),
-             ("norm", on_family, "bounded-element norm by all routes"),
-             ("weakprod", on_family, "weak product of two elements"),
-             ("radical", on_family, "joint degeneracy space of a family"),
-             ("topology", on_family, "seminorm values and multiplication bounds"),
-             ("gastar", on_family, "candidate qualification and consequences"),
-             ("lp", [common], "discrete function model: extremal weights"),
-             ("all", on_source, "full report over every family in the source"))}
+    parents = {None: [common], "source": [common, source], "family": [common, source, family]}
+    p = {name: sub.add_parser(name, help=help_text, parents=parents[reads])
+         for name, (reads, help_text, _) in _COMMANDS.items()}
     p["cone"].add_argument("--element", required=True)
     p["norm"].add_argument("--element", required=True)
     p["weakprod"].add_argument("--left", required=True)
@@ -400,8 +387,11 @@ def _run(argv) -> int:
             raise ParseError("--probes", f"must be >= 0, got {args.probes}")
         if args.seed < 0:
             raise ParseError("--seed", f"must be >= 0, got {args.seed}")
+        reads, _, handler = _COMMANDS[args.cmd]
         started = time.perf_counter()
-        payload, code = _HANDLERS[args.cmd](args, _tol(args)), 0
+        tol = _tol(args)
+        head, inputs = _setup(reads, args)
+        payload, code = {**head, **handler(args, tol, *inputs)}, 0
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ParseError as exc:

@@ -119,20 +119,12 @@ class ParseError(QStarError):
     """Malformed input file or inline payload.
 
     Carries the source path (or '<inline>') and, when known, the field name
-    or line/column of the defect.
+    of the defect.
     """
 
-    def __init__(self, source, detail, field=None, line=None, col=None):
+    def __init__(self, source, detail, field=None):
         self.source = source
         self.detail = detail
         self.field = field
-        self.line = line
-        self.col = col
-        loc = ""
-        if field is not None:
-            loc = f", field '{field}'"
-        if line is not None:
-            loc += f", line {line}"
-            if col is not None:
-                loc += f":{col}"
+        loc = f", field '{field}'" if field is not None else ""
         super().__init__(f"{source}{loc}: {detail}")

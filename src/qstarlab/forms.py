@@ -460,10 +460,8 @@ class FormFamily:
         return self.context(alg, tol).dense_forms()
 
     def sufficiency(self, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL):
-        ctx = self.context(alg, tol)
-        if ctx.sufficiency is None:
-            ctx.sufficiency = check_sufficiency(self, alg, tol)
-        return ctx.sufficiency
+        """The family's ``check_sufficiency`` report on ``alg``."""
+        return check_sufficiency(self, alg, tol)
 
     @classmethod
     def from_json(cls, payload, source="<family>"):
@@ -510,7 +508,6 @@ class FamilyContext:
         self.seeds = family.seeds
         self.balanced = family.balanced
         self.depth = family.twist_depth
-        self.sufficiency = None
 
     @cached_property
     def seed_grams(self):

@@ -111,12 +111,13 @@ def represent(phi: IpsForm, G, sections, alg: QuasiAlgebraInstance,
     if ures > tol.membership * max(1.0, float(np.linalg.norm(alg.unit.matrix))):
         raise NotIps("unit element is not expressible inside the subalgebra")
 
-    scale = max(full.wmax, 1.0)
+    # under phi -> c phi the pairings GR scale like c and the coordinates like
+    # c^(1/2), so each residual is taken relative to its own power of |G|_2
     rep_mats.setflags(write=False)
     return GnsRep(
         alg=alg, form=phi, gram=G, dim_H=int(sec.w.size), lam=lam,
         rep_mats=rep_mats, cyclic=lam @ unit0,
-        residual_lambda=res_lambda / scale, residual_rep=res_rep / scale,
+        residual_lambda=res_lambda / full.wmax, residual_rep=res_rep / full.wmax ** 0.5,
     )
 
 

@@ -61,7 +61,7 @@ def seminorms(F: BoundedFormSet, alg: QuasiAlgebraInstance, C, kind: str):
     are homogeneous from tiny elements to huge ones."""
     kind = TOPOLOGY_KINDS.get(kind, kind)
     if kind == "star":
-        both = seminorms(F, alg, np.vstack([C, np.conj(C) @ alg.star_matrix()[0].T]), "upper")
+        both = seminorms(F, alg, np.vstack([C, alg.adjoints(C)]), "upper")
         return np.maximum(*both.reshape(2, -1))
     if kind not in SEMINORM_KINDS:
         raise ValueError(f"unknown seminorm kind {kind!r}")
@@ -140,9 +140,10 @@ def compare_topologies(F1: BoundedFormSet, kind1: str, F2: BoundedFormSet, kind2
     """Empirical domination constants between two seminorms on a probe set.
 
     Reports the largest observed ratio in each direction; a ratio against
-    an (essentially) vanishing denominator counts as unbounded, and one of
-    1e8 or more counts as no domination.  This is a sampled comparison,
-    not a proof.
+    an (essentially) vanishing denominator, one at most 1e-14 times the
+    larger of the two values, counts as unbounded, and one of 1e8 or more
+    counts as no domination.  The floor is relative, so scaling every form
+    by c > 0 moves no relation.  This is a sampled comparison, not a proof.
     """
     probes = list(probes)
     values = []
@@ -152,7 +153,7 @@ def compare_topologies(F1: BoundedFormSet, kind1: str, F2: BoundedFormSet, kind2
     c12 = 0.0
     c21 = 0.0
     for v1, v2 in values:
-        floor = 1e-14 * max(v1, v2, 1.0)
+        floor = 1e-14 * max(v1, v2)
         if v2 <= floor:
             c12 = float("inf") if v1 > floor else c12
         else:
@@ -211,8 +212,9 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     """
     report = GaStarReport(label=family.label, verdict=False)
     if probes is None:
-        probes = [alg.basis_element(i) for i in range(alg.dim)]
-        probes += [p.star() for p in probes]
+        # the basis, then its adjoints, of which the checks below read the first six
+        probes = [alg.basis_element(i) for i in range(min(alg.dim, 6))]
+        probes += [p.star() for p in probes[:6 - len(probes)]]
 
     dim_null, margin, witness = family.context(alg, tol).separation
     sufficient = dim_null == 0
@@ -275,7 +277,7 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
         xi = rep.lam @ c0
         Gx = _twisted_grams(rep.gram, np.tensordot(c0, _right_mults(alg, tol), axes=1)[None])
         lhs = np.maximum(*(np.linalg.norm(rep.rep_matrix(Y) @ xi, axis=1)
-                           for Y in (P, P.conj() @ alg.star_matrix()[0].T)))
+                           for Y in (P, alg.adjoints(P))))
         rhs = seminorms(BoundedFormSet(Gx), alg, P, "star")
         worst_vec = max(worst_vec, float(((lhs - rhs) / np.maximum(rhs, 1.0)).max(initial=0.0)))
     report.consequences.append(CheckResult(

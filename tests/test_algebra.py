@@ -159,6 +159,42 @@ def test_closure_checks_match_per_item_reference():
                         "involution-closure", "bimodule-closure"}
 
 
+def test_involution_closure_reads_the_instance_star_residuals():
+    # reference: every adjoint a_i^H projected onto the span on its own stack
+    for inst in _closure_cases():
+        B = np.stack(inst.basis)
+        P = B.conj().swapaxes(-1, -2).reshape(inst.dim, -1).T
+        res = np.linalg.norm(inst._bmat @ (inst._pinv @ P) - P, axis=0)
+        assert np.array_equal(inst.star_matrix()[1], res), inst.label
+        rel = res / np.maximum(np.linalg.norm(B, axis=(1, 2)), 1e-300)
+        worst = float(rel.max(initial=0.0))
+        check = next(c for c in validate_structure(inst).checks if c.name == "involution-closure")
+        assert check.data == {"max_residual": worst,
+                              "worst_index": int(np.argmax(rel)) if worst > 0 else None}
+        assert check.passed == (worst <= DEFAULT_TOL.structure), inst.label
+
+
+def test_element_star_is_the_instance_adjoint_map():
+    # reference: the adjoint as the matrix-vector product S conj(c)
+    insts = [load_bundle(name)["instance"] for name in bundle_names()]
+    insts += [inst for inst, _ in make_corpus(count=6, seed=0x57A, n_min=3, n_max=6)]
+    rng = np.random.default_rng(20)
+    for inst in insts:
+        S = inst.star_matrix()[0]
+        C = rng.standard_normal((20, inst.dim)) + 1j * rng.standard_normal((20, inst.dim))
+        for c in C:
+            star = inst.element(c).star().coeffs
+            assert np.array_equal(star, S @ c.conj()), inst.label
+            assert np.array_equal(star, inst.adjoints(c[None])[0]), inst.label
+        # a stack takes one GEMM, whose blocking may round a row differently;
+        # a row with a non-finite part maps to a NaN row
+        ref = np.array([S @ c.conj() for c in C])
+        C[0, -1] = np.inf
+        Y = inst.adjoints(C)
+        assert np.isnan(Y[0]).all(), inst.label
+        assert np.abs(Y[1:] - ref[1:]).max() <= 1e-14 * np.abs(ref).max(), inst.label
+
+
 def test_bimodule_violation_raises_with_its_triple():
     # A0 = span{I, E00, E11}, A = A0 + span{E01 + E12, E10 + E21}: closed
     # under the involution, but E00 (E01 + E12) = E01 leaves A

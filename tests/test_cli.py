@@ -565,3 +565,54 @@ def test_twist_depth_override_builds_a_shallower_family():
     flat = json.loads(flat.stdout)
     assert flat["report"]["closure_size"] == 1
     assert flat["sufficiency"]["sufficient"] is False
+
+
+# the top-level keys of each subcommand's report, in order: the head that
+# the shared set-up writes, then the handler's own
+_PAYLOAD_KEYS = {
+    "validate": ("validate bundled:m2_diag",
+                 ["command", "source", "description", "report"]),
+    "forms": ("forms bundled:m2_diag --family good",
+              ["command", "source", "family", "report", "sufficiency"]),
+    "gns": ("gns bundled:m2_full --family trace",
+            ["command", "source", "family", "representations"]),
+    "cone": ("cone bundled:m2_diag --family good --element [0,0,0,-1]",
+             ["command", "source", "family", "element", "report",
+              "witness_pairing", "witness_norm"]),
+    "norm": ("norm bundled:m2_diag --family good --element basis:1",
+             ["command", "source", "family", "element", "report"]),
+    "weakprod": ("weakprod bundled:m2_diag --family good --left basis:1 --right basis:2",
+                 ["command", "source", "family", "left", "right", "coeffs", "report"]),
+    "radical": ("radical bundled:m2_diag --family bad",
+                ["command", "source", "family", "report"]),
+    "topology": ("topology bundled:m2_diag --family good",
+                 ["command", "source", "family", "set_size", "gamma", "element",
+                  "seminorms", "subalgebra_mult_bounds", "upper_vs_star"]),
+    "gastar": ("gastar bundled:m2_diag --family bad",
+               ["command", "source", "family", "report"]),
+    "lp": ("lp --points 2 --exponent 4",
+           ["command", "points", "exponent", "masses", "values", "holder",
+            "ascent_oracle", "mult_norm"]),
+    "all": ("all bundled:m2_diag",
+            ["command", "source", "description", "structure", "families"]),
+}
+
+
+def test_every_subcommand_reaches_its_handler_and_keeps_its_payload_order(monkeypatch):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_PAYLOAD_KEYS)
+    called = []
+    for name, (reads, help_text, handler) in cli._COMMANDS.items():
+        def spy(*args, _name=name, _handler=handler):
+            called.append(_name)
+            return _handler(*args)
+        monkeypatch.setitem(cli._COMMANDS, name, (reads, help_text, spy))
+    for name in sub.choices:
+        argv, keys = _PAYLOAD_KEYS[name]
+        out = main(*argv.split())
+        assert out.returncode == 0, name
+        payload = json.loads(out.stdout)
+        assert list(payload) == keys, name
+        assert payload["command"] == name
+    assert called == list(sub.choices)

@@ -142,6 +142,21 @@ def test_rep_norm_is_operator_norm(m2, phi):
     assert rep.rep_norm(a) == float(np.linalg.norm(rep.rep_matrix(a), 2))
 
 
+def test_residuals_do_not_move_with_the_form_scale():
+    # under phi -> 2^k phi the pairings scale by 2^k and the coordinates by
+    # 2^(k/2), and each residual is relative to the matching power of |G|_2
+    for bundle, name in (("m2_full", "trace"), ("m3_pattern", "good"), ("m2_diag", "good")):
+        b = load_bundle(bundle)
+        inst, fam = b["instance"], b["families"][name]
+        for phi in fam.context(inst).dense_seeds:
+            ref = build_gns(phi, inst)
+            for k in (-400, -60, 60, 400):
+                rep = build_gns(IpsForm(phi.kind, 2.0 ** k * phi.payload, phi.label), inst)
+                got = (rep.residual_lambda, rep.residual_rep)
+                assert got == (ref.residual_lambda, ref.residual_rep), (bundle, k)
+                assert all(type(v) is float for v in got), (bundle, k)
+
+
 def test_context_reps_match_build_gns():
     # the family context and build_gns run one construction on the same Gram
     pairs = [(b["instance"], fam) for b in map(load_bundle, ("m2_diag", "m2_full", "lp_k2_p4"))

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, BoundedFormSet, FormFamily, IpsForm, QStarError,
-                      check_condition_product, form_equal, ga_star_check, hermitian_parts,
-                      holder_sup, load_bundle, m_bounded_norm, m_bounded_values, p_upper,
-                      radical, seminorms, twist, validate_family, weak_product, weak_products,
-                      weight_ascent_oracle)
+                      check_condition_product, compare_topologies, form_equal, ga_star_check,
+                      hermitian_parts, holder_sup, load_bundle, m_bounded_norm,
+                      m_bounded_values, p_upper, radical, seminorms, standard_probes, twist,
+                      validate_family, weak_product, weak_products, weight_ascent_oracle)
 from qstarlab.forms import gram_sections
 
 _diag = load_bundle("m2_diag")
@@ -235,13 +235,17 @@ def _scale_answers(inst, fam):
                "gastar": ga_star_check(fam, inst).verdict,
                "weak_products": outcome(lambda: [isinstance(out, tuple) for out in
                                                  weak_products(I[left], I[right], fam, inst)])}
+    F = BoundedFormSet.from_family(fam, inst)
+    answers["relation"] = compare_topologies(F, "upper", F, "star",
+                                             standard_probes(inst, 16))["relation"]
     norms = m_bounded_values(I, fam, inst)[0] if suff.sufficient else None
-    return answers, norms, seminorms(BoundedFormSet.from_family(fam, inst), inst, I, "upper")
+    return answers, norms, seminorms(F, inst, I, "upper")
 
 
 def test_form_scale_moves_no_answer():
-    # phi -> 2^k phi: the closure's zero floors follow the largest seed, so
-    # every discrete answer stays; norms stay and seminorms scale by 2^(k/2)
+    # phi -> 2^k phi: the closure's zero floors follow the largest seed and the
+    # topology comparison's floor follows the seminorms it compares, so every
+    # discrete answer stays; norms stay and seminorms scale by 2^(k/2)
     cases = [(load_bundle(b)["instance"], load_bundle(b)["families"][f])
              for b, f in (("m2_diag", "good"), ("m2_diag", "bad"), ("m2_full", "trace"),
                           ("m3_pattern", "good"))]

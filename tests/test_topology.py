@@ -1,6 +1,7 @@
 """Seminorms, topology comparison, and the candidate qualification harness."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -11,7 +12,8 @@ from corpus import make_corpus
 from qstarlab import (BoundedFormSet, FormFamily, NotInA0, compare_topologies,
                       ga_star_check, gamma, left_mult_bound, load_bundle,
                       module_product, p_lower, p_star, p_upper, seminorm_eval,
-                      twisted_set, weak_product)
+                      seminorms, twisted_set, weak_product)
+from qstarlab.topology import SEMINORM_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,18 @@ def test_lower_is_star_invariant(F, m2):
 def test_star_seminorm_symmetry(F, m2):
     a = _rand_elem(m2, 3)
     assert p_star(F, a) == pytest.approx(p_star(F, a.star()), abs=1e-10)
+
+
+def test_seminorms_of_a_non_finite_row_are_nan_without_warnings(F, m2):
+    # the adjoint of a row with an infinite part is a NaN row, so the star
+    # kind reads NaN there as the other kinds do, with no inf * 0 taken
+    C = np.array([[np.inf, 1.0, 0.0, 0.0], [1.0, 2.0, 3.0j, 4.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in SEMINORM_KINDS:
+            vals = seminorms(F, m2, C, kind)
+            assert np.isnan(vals[0]) and np.isfinite(vals[1]), kind
+            assert vals[1] == pytest.approx(seminorms(F, m2, C[1:], kind)[0], rel=1e-14), kind
 
 
 def test_twist_identity(F, m2):
