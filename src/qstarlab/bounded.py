@@ -410,7 +410,10 @@ class RadicalReport:
 
 def _null_basis(M, rank_tol):
     """Orthonormal null-space basis columns of a stacked map."""
-    # a tall map's null directions are all in the thin Vh; a wide one needs the full Vh
+    if M.shape[0] > M.shape[1]:
+        # a tall map has the right singular pairs of its square triangle R = Q^H M
+        M = np.linalg.qr(M, mode="r")
+    # a square map's null directions are all in the thin Vh; a wide one needs the full Vh
     _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = float(s.max(initial=0.0))
     rank = int(np.sum(s > rank_tol * max(smax, 1e-300)))

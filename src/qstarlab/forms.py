@@ -17,15 +17,19 @@ matrix of right multiplication by x; a twist is therefore Gram-kind,
 whatever the kind of phi.  A family is balanced when it is closed under
 basis twists, and its closure members other than the seeds are Gram-kind.
 
-The closure and its twist-stability check sort twisted Grams into zero, known
-and new directions from |D|_F / sqrt(d) <= |D|_2 <= |D|_F (Golub & Van Loan,
-2.3), certifying a direction by 2e <= tol.form (a - e) (see ``_classify``), and
-take a spectral norm only for a member kept or where that is inconclusive.
-Before that, a twist is certified zero without being formed when
-|R_x^H G|_F |R_x|_F is below the floor, since |R_x^H G R_x|_F is at most that
-(Golub & Van Loan, 2.3; see ``_twister``): one product R^H G for all basis
-twists of a member, and the second product only for the twists it keeps.
-Twisted members are labelled with the basis index they were twisted by.
+The closure holds each member as a factor, G = F^H diag(signs) F with F of
+r <= dim H_phi rows, where d grows like dim H_phi squared.  A seed's factor
+comes from its quotient section's eigenpairs with |w| > d eps |G|_2, so the
+part E left out is below G's rounding; a twist's factor is F R_x, at r d^2
+where R_x^H G R_x costs d^3, and defines its Gram.  A twist is certified
+zero unformed when |F R_x|_F^2 + |E|_2 |R_x|_F^2, which bounds
+|R_x^H G R_x|_F, is below the floor (Golub & Van Loan, 2.3).  Formed twists
+are sorted into zero, known and new directions from |D|_F / sqrt(d) <=
+|D|_2 <= |D|_F, certifying a direction by 2e <= tol.form (a - e) (see
+``_classify``); a spectral norm is taken only for a member kept or where
+that is inconclusive.  The stability check's directions are fixed, so its
+candidates meet those tests as one stack (``_settled``).  Twisted members
+are labelled with the basis index they were twisted by.
 
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
@@ -174,6 +178,32 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     return "known" if any(spectral_norm(G / gn - U) <= tol.form for U in near) else gn
 
 
+def _settled(C, units, floor: float, tol: ToleranceConfig):
+    """``(zero, known)``: ``_classify``'s two certifying Frobenius tests, on
+    every Gram of the stack C at once; a Gram in neither is left to ``_classify``.
+    ``_classify`` keeps its scalar form, as a stack of one Gram would slow
+    the closure, which classifies its twists one at a time, by about 15%."""
+    m, dd = len(C), C.shape[-1] ** 2
+    parts = C.reshape(m, dd).view(float)
+    s = np.abs(parts).max(axis=1, initial=0.0)
+    s[s == 0.0] = 1.0
+    g = parts / s[:, None]
+    zero = s * np.sqrt(np.einsum("ij,ij->i", g, g)) <= floor
+    if not len(units):
+        return zero, np.zeros(m, dtype=bool)
+    K = units.reshape(len(units), dd).view(float)
+    kk = np.einsum("ij,ij->i", K, K)
+    a = (g @ K.T) / kk
+    k = np.argmax(a * a * kk, axis=1)
+    ak = a[np.arange(m), k]
+    # D = g - a_k K_k, built in place: the stack can hold many Grams
+    D = K[k]
+    D *= -ak[:, None]
+    D += g
+    e = np.sqrt(np.einsum("ij,ij->i", D, D))
+    return zero, ~zero & (2.0 * e <= tol.form * (ak - e))
+
+
 def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     """The instance's stacked A0 right-multiplication matrices, provided
     every one of them stays inside the span at this tolerance."""
@@ -204,24 +234,36 @@ def _frobenius_rows(M):
     return norms
 
 
-def _twister(R):
-    """``twists(G, floor)`` for a stack R of right-multiplication matrices:
-    the indices j whose twist R[j]^H G R[j] is not certified below ``floor``
-    in Frobenius norm, with their twisted Grams, as ``_twisted_grams`` gives them.
+class GramFactor:
+    """A Hermitian Gram as F^H diag(signs) F, F of shape (r, d), up to a part
+    of spectral norm at most ``dropped``."""
 
-    The certificate is |R^H G R|_F <= |R^H G|_F |R|_F (Golub & Van Loan,
-    2.3), on the product R^H G that the kept twists are then finished from;
-    the factor 1 + 4 d^2 eps covers the rounding of the second product and
-    of every norm involved, so a twist left out is one that ``_classify``
-    would call zero at that floor.  It needs no positivity of G."""
-    RH = R.conj().transpose(0, 2, 1)
+    __slots__ = ("F", "signs", "dropped")
+
+    def __init__(self, F, signs, dropped: float):
+        self.F, self.signs, self.dropped = F, signs, dropped
+
+
+def _factor_twister(R):
+    """``twists(factor, floor)`` for a stack R of right-multiplication
+    matrices: the indices j whose twist is not certified below ``floor`` in
+    Frobenius norm, the kept twists' factors P = F R[j] and their Grams, the
+    Hermitian parts of P^H diag(signs) P.
+
+    With G = F^H diag(signs) F + E, R^H G R = P^H diag(signs) P + R^H E R has
+    Frobenius norm at most |P|_F^2 + |E|_2 |R|_F^2 (Golub & Van Loan, 2.3);
+    the factor 1 + 4 d^2 eps covers the rounding of the product and of every
+    norm, so a twist left out is one that ``_classify`` would call zero at
+    that floor.  It needs no positivity of G."""
     d = R.shape[-1]
-    rnorms = _frobenius_rows(R) * (1.0 + 4.0 * d * d * np.finfo(float).eps)
+    slack = 1.0 + 4.0 * d * d * np.finfo(float).eps
+    rsq = _frobenius_rows(R) ** 2
 
-    def twists(G, floor):
-        RHG = RH @ G
-        keep = np.flatnonzero(~(_frobenius_rows(RHG) * rnorms <= floor))
-        return keep, _hermitian_part(RHG[keep] @ R[keep])
+    def twists(factor, floor):
+        P = factor.F @ R
+        keep = np.flatnonzero(~((_frobenius_rows(P) ** 2 + factor.dropped * rsq) * slack <= floor))
+        P = P[keep]
+        return keep, P, _hermitian_part(P.conj().transpose(0, 2, 1) @ (factor.signs[:, None] * P))
     return twists
 
 
@@ -279,13 +321,25 @@ def _psd_margins(mats):
 @dataclass(frozen=True)
 class QuotientSection:
     """The kept eigenpairs (w, V) of a positive matrix M, the section
-    V diag(w)^(-1/2), the dropped directions, and the top |eigenvalue|."""
+    V diag(w)^(-1/2), the dropped directions with their eigenvalues, and the
+    top |eigenvalue|."""
 
     w: np.ndarray
     V: np.ndarray
     section: np.ndarray
     null_dirs: np.ndarray
+    null_w: np.ndarray
     wmax: float
+
+    @cached_property
+    def factor(self):
+        """M as a ``GramFactor``: a row sqrt|w| v^H with sign(w) for each
+        eigenpair with |w| > d eps |M|_2, leaving out a part below M's rounding."""
+        w = np.concatenate([self.null_w, self.w])
+        V = np.hstack([self.null_dirs, self.V])
+        big = np.abs(w) > len(w) * np.finfo(float).eps * self.wmax
+        return GramFactor(np.sqrt(np.abs(w[big]))[:, None] * V[:, big].conj().T,
+                          np.sign(w[big]), float(np.abs(w[~big]).max(initial=0.0)))
 
     def leak(self, T):
         """Largest |eigenvalue| of the Hermitian T (of each, for a stack) on the dropped directions."""
@@ -299,8 +353,13 @@ class QuotientSection:
 
 
 def _hermitian_part(T):
-    """(T + T^H) / 2 of a matrix or of each matrix of a stack."""
-    return (T + T.conj().swapaxes(-1, -2)) / 2.0
+    """(T + T^H) / 2 of a matrix or of each matrix of a stack, in one buffer
+    without a strided read or a complex division."""
+    H = T.swapaxes(-1, -2).copy(order="C")
+    np.conjugate(H, out=H)
+    H += T
+    H *= 0.5
+    return H
 
 
 def quotient_section(M, rank_tol: float, scale=None) -> QuotientSection:
@@ -310,7 +369,7 @@ def quotient_section(M, rank_tol: float, scale=None) -> QuotientSection:
     wmax = float(np.abs(w).max(initial=0.0))
     keep = w > rank_tol * max(wmax if scale is None else scale, 1e-300)
     return QuotientSection(w[keep], V[:, keep], V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep])),
-                           V[:, ~keep], wmax)
+                           V[:, ~keep], w[~keep], wmax)
 
 
 def gram_sections(G, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
@@ -338,23 +397,30 @@ def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
     return float(worst[0]), float(scale[0])
 
 
-def _invariance_residuals(grams, tops, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
-    """``invariance_residual`` of each Hermitian Gram of a stack, as arrays,
-    given each Gram's spectral norm in ``tops``."""
+def _invariance_residuals(forms, tops, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``invariance_residual`` of each Hermitian Gram or ``GramFactor`` of a
+    list, as arrays, given each form's spectral norm in ``tops``."""
     R0 = _right_mults(alg, tol)
     Sstar, _ = alg.star_matrix()
     ix = np.asarray(alg.a0_indices)
     n0, d = R0.shape[:2]
-    # one GEMM per side and Gram: lhs[k, j, i] = phi(a_i x_j, x_k) from the columns
-    # (j, i) of Rc, rhs[k, i, j] = phi(x_j, a_i^H x_k) from the rows (k, i) of Pc.
-    # One Gram at a time: the whole stack's arrays would set the process's peak memory
-    Rc = R0.transpose(1, 0, 2).reshape(d, n0 * d)
+    # one GEMM per side and Gram: lhs[k, i, j] = phi(a_i x_j, x_k) from the columns
+    # (i, j) of Rt, rhs[k, i, j] = phi(x_j, a_i^H x_k) from the rows (k, i) of Pc;
+    # a factor's G[ix, :] and G[:, ix] are multiplied inside out, unformed.
+    # One form at a time: the whole stack's arrays would set the process's peak memory
+    Rt = R0.transpose(1, 2, 0).reshape(d, d * n0)
     Pc = (Sstar.conj().T @ R0.conj().transpose(0, 2, 1)).reshape(n0 * d, d)
-    worst = [np.abs((G[ix, :] @ Rc).reshape(n0, n0, d)
-                    - (Pc @ G[:, ix]).reshape(n0, d, n0).transpose(0, 2, 1)).max(initial=0.0)
-             for G in grams]
+
+    def worst(form):
+        if isinstance(form, GramFactor):
+            sFx = form.signs[:, None] * form.F[:, ix]
+            lhs, rhs = sFx.conj().T @ (form.F @ Rt), (Pc @ form.F.conj().T) @ sFx
+        else:
+            lhs, rhs = form[ix, :] @ Rt, Pc @ form[:, ix]
+        return np.abs(lhs.reshape(-1) - rhs.reshape(-1)).max(initial=0.0)
     bnorm = max(float(np.linalg.norm(b)) for b in alg.basis)
-    return np.array(worst), (1.0 + np.asarray(tops, dtype=float)) * (1.0 + bnorm) ** 2
+    return (np.array([worst(form) for form in forms]),
+            (1.0 + np.asarray(tops, dtype=float)) * (1.0 + bnorm) ** 2)
 
 
 def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
@@ -519,12 +585,20 @@ class FamilyContext:
         return self._grown[:3]
 
     @cached_property
+    def factors(self):
+        """Per closure member, the ``GramFactor`` that its twists start from."""
+        if not self.balanced:
+            return tuple(full.factor for full, _ in self.sections)
+        return self._grown[3]
+
+    @cached_property
     def untwisted(self):
-        """(member, Gram) for the closure members that building the closure
+        """(member, factor) for the closure members that building the closure
         never twisted: the last round's additions, or every member at depth
         0.  Every other member's twists were pushed and found in the closure
         or zero."""
-        return self._grown[3]
+        members, start = self.closure[0], self._grown[4]
+        return tuple(zip(members[start:], self.factors[start:]))
 
     @cached_property
     def scale(self):
@@ -536,10 +610,12 @@ class FamilyContext:
 
     @cached_property
     def _grown(self):
-        seeded = tuple(zip(self.seeds, self.seed_grams))
+        """``closure``, the factors of a balanced closure, and where the
+        untwisted members start."""
         if not self.balanced:
-            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), seeded
-        twists, ix = _twister(_right_mults(self.alg, self.tol)), self.alg.a0_indices
+            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), None, 0
+        seeded = tuple(zip(self.seeds, self.seed_grams, (full.factor for full, _ in self.sections)))
+        twists, ix = _factor_twister(_right_mults(self.alg, self.tol)), self.alg.a0_indices
         norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
         floor = 1e-14 * self.scale
 
@@ -553,19 +629,20 @@ class FamilyContext:
             units = np.concatenate([units, (G / gn)[None]])
             return True
 
-        kept = [(phi, G) for phi, G in seeded if fresh(G)]
+        kept = [member for member in seeded if fresh(member[1])]
         frontier = seeded
         for _ in range(self.depth):
             if not frontier:
                 # a round that added nothing leaves nothing to twist
                 break
             # a twist certified below fresh's floor is one fresh calls zero
-            new = [IpsForm(GRAM, Gt, label=f"{phi.label}^tw{ix[j]}")
-                   for phi, G in frontier for j, Gt in zip(*twists(G, floor)) if fresh(Gt)]
-            frontier = tuple((tw, tw.payload) for tw in new)
+            new = [(IpsForm(GRAM, Gt, label=f"{phi.label}^tw{ix[j]}"), GramFactor(P, fac.signs, 0.0))
+                   for phi, _, fac in frontier for j, P, Gt in zip(*twists(fac, floor)) if fresh(Gt)]
+            frontier = tuple((tw, tw.payload, fac) for tw, fac in new)
             kept += frontier
-        return tuple(phi for phi, _ in kept), tuple(G for _, G in kept), tuple(norms), \
-            frontier if self.depth > 0 else tuple(kept)
+        members, grams, factors = (tuple(col) for col in zip(*kept)) if kept else ((), (), ())
+        return members, grams, tuple(norms), factors, \
+            len(kept) - len(frontier) if self.depth > 0 else 0
 
     @cached_property
     def nonzero(self):
@@ -691,23 +768,23 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if not family.seeds:
         raise EmptyFamily("family has no generators")
     ctx = family.context(alg, tol)
-    seed_res, seed_scale = _invariance_residuals(
-        ctx.seed_grams, [full.wmax for full, _ in ctx.sections], alg, tol)
+    members, grams, _ = ctx.closure
+    seed_ids = {id(s) for s in family.seeds}
+    derived = [i for i, phi in enumerate(members) if id(phi) not in seed_ids]
+    herm_res, wmin, wmax = _psd_margins(
+        np.array([grams[i] for i in derived], dtype=complex).reshape(-1, alg.dim, alg.dim))
+    worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
+    # the seeds' Grams and the derived members' factors in one pass
+    n = len(family.seeds)
+    inv_res, inv_scale = _invariance_residuals(
+        [*ctx.seed_grams, *(ctx.factors[i] for i in derived)],
+        [*(full.wmax for full, _ in ctx.sections), *wmax], alg, tol)
+    worst_inv = float(np.max(inv_res[n:] / inv_scale[n:], initial=0.0))
     report = FamilyReport(label=family.label, balanced=family.balanced,
-                          twist_depth=family.twist_depth,
+                          twist_depth=family.twist_depth, closure_size=len(members),
                           seed_reports=[_form_report(*args, tol, require_density=False)
                                         for args in zip(family.seeds, ctx.sections,
-                                                        seed_res, seed_scale)])
-    members, grams, _ = ctx.closure
-    report.closure_size = len(members)
-
-    seed_ids = {id(s) for s in family.seeds}
-    derived = np.array([G for phi, G in zip(members, grams) if id(phi) not in seed_ids],
-                       dtype=complex).reshape(-1, alg.dim, alg.dim)
-    herm_res, wmin, wmax = _psd_margins(derived)
-    worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
-    inv_res, inv_scale = _invariance_residuals(derived, wmax, alg, tol)
-    worst_inv = float(np.max(inv_res / inv_scale, initial=0.0))
+                                                        inv_res[:n], inv_scale[:n])])
     report.checks.append(CheckResult(
         "closure-positivity", worst_pos <= tol.psd, {"worst_relative_defect": worst_pos}))
     report.checks.append(CheckResult(
@@ -716,10 +793,16 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if family.balanced:
         # the twists that are neither zero nor a direction of the closure
         floor, units = 1e-12 * ctx.scale, ctx.nonzero[1]
-        twists = _twister(_right_mults(alg, tol))
-        new = [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
-               for phi, G in ctx.untwisted for j, Gt in zip(*twists(G, floor))
-               if not isinstance(_classify(Gt, units, floor, tol), str)]
+        twists = _factor_twister(_right_mults(alg, tol))
+        labels, cands = [], [np.empty((0, alg.dim, alg.dim), dtype=complex)]
+        for phi, fac in ctx.untwisted:
+            keep, _, twisted = twists(fac, floor)
+            labels += [f"{phi.label} twisted by basis index {alg.a0_indices[j]}" for j in keep]
+            cands.append(twisted)
+        cands = np.concatenate(cands)
+        zero, known = _settled(cands, units, floor, tol)
+        new = [label for label, Gt, done in zip(labels, cands, zero | known)
+               if not done and not isinstance(_classify(Gt, units, floor, tol), str)]
         report.checks.append(CheckResult(
             "twist-stability", not new, {"closure_size": len(members)},
             note=new[-1] if new else "closure reproduces itself under basis twists"))
@@ -777,7 +860,9 @@ def degeneracy_residuals(a: Element, family: FormFamily, alg: QuasiAlgebraInstan
 def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     """``degeneracy_residuals`` of each coefficient row of C, as the rows
     [r1, r2, r3, r4, scale] of one array.  r1 is the spectral norm of the
-    Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest |eigenvalue|."""
+    Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest |eigenvalue|:
+    first of the part of largest Frobenius norm, which bounds the spectral
+    norm, then of the parts whose Frobenius norm exceeds that."""
     _, grams, norms = family.context(alg, tol).closure
     G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
     R0 = _right_mults(alg, tol)
@@ -787,8 +872,20 @@ def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Tole
     GAX = G[:, None] @ AX
     Q = GAX[:, :, ix, :]
     QH = Q.conj().swapaxes(-1, -2)
-    parts = np.linalg.eigvalsh(np.stack([(Q + QH) / 2.0, (Q - QH) * -0.5j]))
-    r1 = np.abs(parts).max(axis=(0, 1, 3), initial=0.0)
+    # H[c, p]: candidate c (part, member) of probe p
+    H = np.concatenate([_hermitian_part(Q), (Q - QH) * -0.5j])
+    n0, probes = len(ix), np.arange(len(C))
+    r1 = np.zeros(len(C))
+    if len(H):
+        fro = _frobenius_rows(H.reshape(-1, n0, n0)).reshape(len(H), len(C))
+        top = np.argmax(fro, axis=0)
+        r1 = np.abs(np.linalg.eigvalsh(H[top, probes])).max(axis=1, initial=0.0)
+        # the factor covers the rounding of both norms
+        rest = fro * (1.0 + 4.0 * n0 * n0 * np.finfo(float).eps) > r1
+        rest[top, probes] = False
+        if rest.any():
+            c, p = np.nonzero(rest)
+            np.maximum.at(r1, p, np.abs(np.linalg.eigvalsh(H[c, p])).max(axis=1, initial=0.0))
     r2 = np.abs(Q).max(axis=(0, 2, 3), initial=0.0)
     r3 = (AX.conj() * GAX).sum(axis=2).real.max(axis=(0, 2), initial=0.0)
     r4 = ((G @ C.T) * C.T.conj()).sum(axis=1).real.max(axis=0, initial=0.0)

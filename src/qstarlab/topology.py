@@ -260,26 +260,34 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     m = min(len(probes), 6)
     P = np.reshape([a.coeffs for a in probes[:m]], (m, alg.dim))
 
+    # a probe with a non-finite part enters the products as zero, without an
+    # inf * 0, and its entries read NaN, which fails both checks below
+    bad = ~np.isfinite(P).all(axis=1)
+    Z = np.where(bad[:, None], 0.0, P)
+
     # |phi(p_i, p_j)| = |p_j^H G p_i| over every closure member at once
     ps = seminorms(F, alg, P, "star")
     bound = np.outer(ps, ps)
-    excess = (np.abs(P.conj() @ F.grams @ P.T).max(axis=0, initial=0.0) - bound)
-    worst_pair = max(0.0, float((excess / np.maximum(bound, 1.0)).max(initial=0.0)))
+    pairing = np.abs(Z.conj() @ F.grams @ Z.T).max(axis=0, initial=0.0)
+    pairing[bad] = pairing[:, bad] = np.nan
+    worst_pair = float(np.max((pairing - bound) / np.maximum(bound, 1.0), initial=0.0))
     report.consequences.append(CheckResult(
         "pairing-bounded-by-star-seminorms", worst_pair <= 1e-8,
         {"worst_relative_excess": worst_pair}))
 
     # for x = sum c0_j x_j: |pi(a) lam(x)| against the seed twisted by x
-    worst_vec = 0.0
+    excess = [0.0]
     rng = np.random.default_rng(0xA11CE)
     for rep in family.context(alg, tol).reps:
         c0 = rng.standard_normal(alg.a0_dim) + 1j * rng.standard_normal(alg.a0_dim)
         xi = rep.lam @ c0
         Gx = _twisted_grams(rep.gram, np.tensordot(c0, _right_mults(alg, tol), axes=1)[None])
         lhs = np.maximum(*(np.linalg.norm(rep.rep_matrix(Y) @ xi, axis=1)
-                           for Y in (P, alg.adjoints(P))))
+                           for Y in (Z, alg.adjoints(Z))))
+        lhs[bad] = np.nan
         rhs = seminorms(BoundedFormSet(Gx), alg, P, "star")
-        worst_vec = max(worst_vec, float(((lhs - rhs) / np.maximum(rhs, 1.0)).max(initial=0.0)))
+        excess.append(float(((lhs - rhs) / np.maximum(rhs, 1.0)).max(initial=0.0)))
+    worst_vec = float(np.max(excess))
     report.consequences.append(CheckResult(
         "vector-bound-for-twisted-sets", worst_vec <= 1e-8,
         {"worst_relative_excess": worst_vec}))

@@ -345,6 +345,26 @@ def test_null_basis_matches_the_full_svd_for_tall_and_wide_maps():
         assert np.linalg.norm(M @ N) <= 1e-10 * np.linalg.norm(M)
 
 
+def test_radical_through_qr_matches_the_full_svd_reports(monkeypatch):
+    # a tall map's null basis comes from the SVD of its QR triangle; every
+    # radical report keeps its dimension, kernel dimensions and check flags,
+    # and its subspace gaps stay at rounding level, against the full SVD
+    pairs = [(b["instance"], fam) for b in map(load_bundle, bundle_names())
+             for fam in b["families"].values()]
+    pairs += make_corpus(count=4, seed=2) + make_corpus(count=3, seed=8, n_min=4, n_max=8)
+    reports = [radical(fam, inst).as_dict() for inst, fam in pairs]
+    monkeypatch.setattr(bounded, "_null_basis", _full_svd_null)
+    for (inst, fam), got in zip(pairs, reports):
+        want = radical(FormFamily(fam.seeds, fam.balanced, fam.twist_depth, fam.label),
+                       inst).as_dict()
+        assert got["dim"] == want["dim"]
+        assert [c["passed"] for c in got["checks"]] == [c["passed"] for c in want["checks"]]
+        for g, w in zip(got["checks"], want["checks"]):
+            assert g["data"].get("rep_kernel_dim") == w["data"].get("rep_kernel_dim")
+            if "gap" in w["data"]:
+                assert abs(g["data"]["gap"] - w["data"]["gap"]) <= 1e-12
+
+
 def test_radical_dimensions(m2, good, bad):
     assert radical(good, m2).dim == 0
     assert radical(bad, m2).dim == 2

@@ -241,23 +241,24 @@ def test_validate_family_bundles():
 
 
 def test_twist_stability_twists_only_the_last_round(monkeypatch):
-    # the closure twists the seed's Gram by every basis element at once;
+    # the closure twists the seed's factor by every basis element at once;
     # the stability check twists only the one member the closure added in
-    # its last round, so re-twisting every member would pass three Grams
+    # its last round, so re-twisting every member would pass three factors
     from qstarlab import forms
-    make, grams = forms._twister, []
+    make, grams = forms._factor_twister, []
 
     def counting(R):
         twists = make(R)
         return lambda G, floor: grams.append(G) or twists(G, floor)
-    monkeypatch.setattr(forms, "_twister", counting)
+    monkeypatch.setattr(forms, "_factor_twister", counting)
     b = load_bundle("m2_diag")
     fam, inst = b["families"]["good"], b["instance"]
     rep = validate_family(fam, inst)
     members, member_grams, _ = fam.context(inst).closure
+    member_factors = fam.context(inst).factors
     assert len(members) == 2
     assert len(grams) == 2
-    assert grams[0] is member_grams[0] and grams[1] is member_grams[1]
+    assert grams[0] is member_factors[0] and grams[1] is member_factors[1]
     stability = next(c for c in rep.checks if c.name == "twist-stability")
     assert stability.passed and stability.note == "closure reproduces itself under basis twists"
 
@@ -480,12 +481,12 @@ def test_closure_stops_growing_at_its_fixed_point(monkeypatch):
     # a round that adds nothing leaves nothing to twist, so a depth far past
     # the fixed point gives the depth-3 family and twists no more often
     from qstarlab import forms
-    make, calls = forms._twister, []
+    make, calls = forms._factor_twister, []
 
     def counting(R):
         twists = make(R)
         return lambda G, floor: calls.append(G) or twists(G, floor)
-    monkeypatch.setattr(forms, "_twister", counting)
+    monkeypatch.setattr(forms, "_factor_twister", counting)
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=3, seed=5)
     for inst, fam in pairs:
@@ -522,17 +523,17 @@ def test_stability_check_forms_only_the_twists_not_certified_zero(monkeypatch):
     inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
     ctx = fam.context(inst)
     ctx.closure  # built first, so that only the stability check's twists are counted
-    make, rows = forms._twister, []
+    make, rows = forms._factor_twister, []
 
     def counting(R):
         twists = make(R)
 
         def formed(G, floor):
-            keep, grams = twists(G, floor)
+            keep, factors, grams = twists(G, floor)
             rows.append(len(grams))
-            return keep, grams
+            return keep, factors, grams
         return formed
-    monkeypatch.setattr(forms, "_twister", counting)
+    monkeypatch.setattr(forms, "_factor_twister", counting)
     rep = validate_family(fam, inst)
     assert next(c for c in rep.checks if c.name == "twist-stability").passed
     assert len(rows) == len(ctx.untwisted)
@@ -622,18 +623,183 @@ def test_random_probes_are_the_per_probe_draws():
                 assert np.array_equal(e.coeffs, (r * (1.0 / r.norm_frobenius())).coeffs)
 
 
-def test_kept_twists_are_the_twisted_grams_bit_for_bit():
-    # a kept twist is finished from the product R^H G that its zero
-    # certificate took, and is _twisted_grams of the kept rows to the bit
-    from qstarlab.forms import _right_mults, _twisted_grams, _twister
+def test_kept_twists_are_their_factor_products_bit_for_bit():
+    # a kept twist is the product P = F R[j] that its zero certificate took,
+    # its Gram is the Hermitian part of P^H diag(signs) P to the bit, and that
+    # Gram is R[j]^H G R[j] up to the rounding of G's scale
+    from qstarlab.forms import _factor_twister, _hermitian_part, _right_mults, _twisted_grams
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=4, seed=8, n_min=4, n_max=8)
     formed = 0
     for inst, fam in pairs:
         R = _right_mults(inst, DEFAULT_TOL)
-        twists = _twister(R)
-        for G in fam.context(inst).closure[1]:
-            keep, grams = twists(G, 0.0)
-            assert grams.tobytes() == _twisted_grams(G, R[keep]).tobytes()
+        twists = _factor_twister(R)
+        ctx = fam.context(inst)
+        for G, fac in zip(ctx.closure[1], ctx.factors):
+            keep, P, grams = twists(fac, 0.0)
+            assert P.tobytes() == (fac.F @ R)[keep].tobytes()
+            assert grams.tobytes() == _hermitian_part(
+                P.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * P)).tobytes()
+            ref = _twisted_grams(G, R[keep])
+            scale = np.linalg.norm(G, 2) * max(np.linalg.norm(R, 2, axis=(1, 2)).max(), 1.0) ** 2
+            assert np.abs(grams - ref).max(initial=0.0) <= 1e-13 * scale
             formed += len(keep)
     assert formed > 200
+
+
+def _reference_closure(fam, inst, tol=DEFAULT_TOL):
+    """The closure as R^H G R twists: every basis twist of every frontier
+    member formed and classified in order, with no zero certificate.
+    Returns (labels, Grams, norms, labels of the untwisted members)."""
+    from qstarlab.forms import _classify, _right_mults, _twisted_grams
+    R, ix = _right_mults(inst, tol), inst.a0_indices
+    ctx = fam.context(inst, tol)
+    floor = 1e-14 * ctx.scale
+    units, norms = np.empty((0, inst.dim, inst.dim), dtype=complex), []
+
+    def fresh(G):
+        nonlocal units
+        gn = _classify(G, units, floor, tol)
+        if isinstance(gn, str):
+            return False
+        norms.append(gn)
+        units = np.concatenate([units, (G / gn)[None]])
+        return True
+
+    seeded = [(phi.label, G) for phi, G in zip(fam.seeds, ctx.seed_grams)]
+    kept = [(label, G) for label, G in seeded if fresh(G)]
+    frontier = seeded
+    for _ in range(fam.twist_depth):
+        if not frontier:
+            break
+        frontier = [(f"{label}^tw{ix[j]}", Gt) for label, G in frontier
+                    for j, Gt in enumerate(_twisted_grams(G, R)) if fresh(Gt)]
+        kept += frontier
+    untwisted = frontier if fam.twist_depth > 0 else kept
+    return [lb for lb, _ in kept], [G for _, G in kept], norms, [lb for lb, _ in untwisted]
+
+
+def _indefinite_gram_family(depth):
+    """m2_full with one Gram-kind seed whose smallest eigenvalue is minus half its largest."""
+    inst = load_bundle("m2_full")["instance"]
+    G = next(iter(load_bundle("m2_full")["families"].values())).seeds[0].gram(inst)
+    w, V = np.linalg.eigh(G)
+    w[0] = -0.5 * np.abs(w).max()
+    return inst, FormFamily([IpsForm("gram", (V * w) @ V.conj().T, label="neg")], True, depth)
+
+
+def test_closure_from_factors_matches_the_twisted_gram_reference():
+    # the closure twists each member's factor; the reference twists Grams by
+    # R^H G R.  Same members, labels and order, same untwisted members, and
+    # Grams and norms within 1e-13 of the largest Gram's spectral norm
+    cases = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    for n in (4, 6, 8):
+        cases += make_corpus(count=3, seed=40 + n, n_min=n, n_max=n)
+    cases = [(inst, FormFamily(fam.seeds, True, depth, fam.label))
+             for inst, fam in cases for depth in (0, 1, 2)]
+    cases += [_indefinite_gram_family(depth) for depth in (0, 1, 2)]
+    zero_inst = load_bundle("m2_diag")["instance"]
+    cases.append((zero_inst, FormFamily([IpsForm("vector_state", np.zeros((2, 2)), label="z")], True, 1)))
+    derived = 0
+    for inst, fam in cases:
+        labels, grams, norms, untwisted = _reference_closure(fam, inst)
+        ctx = fam.context(inst)
+        members, got_grams, got_norms = ctx.closure
+        assert [m.label for m in members] == labels
+        assert [m.label for m, _ in ctx.untwisted] == untwisted
+        scale = max(norms, default=0.0)
+        for G, ref in zip(got_grams, grams, strict=True):
+            assert np.abs(G - ref).max() <= 1e-13 * scale
+        assert np.allclose(got_norms, norms, rtol=0.0, atol=1e-13 * scale)
+        assert len(ctx.factors) == len(members)
+        derived += len(members) - len(fam.seeds)
+    assert derived > 100
+
+
+def test_indefinite_seed_twists_through_its_signed_factor():
+    # a seed with a clearly negative eigenvalue keeps it in its factor's signs,
+    # so the factor reproduces the Gram, and the closure's twists carry the sign
+    inst, fam = _indefinite_gram_family(1)
+    ctx = fam.context(inst)
+    G, fac = ctx.seed_grams[0], ctx.factors[0]
+    assert (fac.signs < 0).any() and (fac.signs > 0).any()
+    recon = fac.F.conj().T @ (fac.signs[:, None] * fac.F)
+    assert np.abs(recon - G).max() <= 1e-14 * np.linalg.norm(G, 2)
+    assert len(ctx.closure[0]) > 1
+    assert min(np.linalg.eigvalsh(G).min() for G in ctx.closure[1]) < 0
+
+
+def test_r1_reads_only_the_parts_that_could_hold_the_maximum():
+    # _degeneracy_rows solves the part of largest Frobenius norm, then only the
+    # parts whose Frobenius norm could exceed that; r1 must be the maximum
+    # over every part's eigenvalues, bit for bit
+    from qstarlab.forms import _degeneracy_rows, _right_mults
+    from qstarlab.probes import random_probes
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=4, seed=2) + make_corpus(count=3, seed=8, n_min=4, n_max=8)
+    m2 = load_bundle("m2_diag")["instance"]
+    pairs.append((m2, FormFamily([IpsForm("vector_state", np.zeros((2, 2)), label="z")], True, 1)))
+    rows = 0
+    for inst, fam in pairs:
+        rep = check_sufficiency(fam, inst)
+        probes = [inst.unit, *(inst.basis_element(i) for i in range(inst.dim)),
+                  *random_probes(inst, 3)]
+        if rep.witness_coeffs is not None:
+            probes.append(inst.element(rep.witness_coeffs))
+        C = np.array([p.coeffs for p in probes])
+        _, grams, _ = fam.context(inst).closure
+        G = np.array(grams, dtype=complex).reshape(-1, inst.dim, inst.dim)
+        AX = (_right_mults(inst, DEFAULT_TOL) @ C.T).transpose(2, 1, 0)
+        Q = (G[:, None] @ AX)[:, :, list(inst.a0_indices), :]
+        QH = Q.conj().swapaxes(-1, -2)
+        parts = np.linalg.eigvalsh(np.stack([(Q + QH) / 2.0, (Q - QH) * -0.5j]))
+        ref = np.abs(parts).max(axis=(0, 1, 3), initial=0.0)
+        assert _degeneracy_rows(C, fam, inst, DEFAULT_TOL)[:, 0].tobytes() == ref.tobytes()
+        rows += len(C)
+    assert rows > 250
+
+
+def test_intake_lapack_calls_stay_bounded(monkeypatch):
+    # validate_family, check_sufficiency and radical on a fresh n = 8 pair:
+    # each seed is decomposed once, r1 solves 4 of its 72 Hermitian parts
+    # and one more, and a tall null basis is a QR then a square SVD.  A later
+    # per-seed eigh or an unfiltered eigen-solve raises a count
+    from qstarlab import radical
+    inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
+    counts = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            counts[name + " solves"] = counts.get(name + " solves", 0) + \
+                int(np.prod(np.shape(args[0])[:-2]))
+            return fn(*args, **kwargs)
+        return counted
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        counted = counting(name, getattr(np.linalg, name))
+        for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+            monkeypatch.setattr(module, name, counted)
+    bounds = {
+        validate_family: {"eigh": 3, "eigh solves": 3, "eigvalsh": 2, "eigvalsh solves": 9,
+                          "svd": 9, "svd solves": 9},
+        check_sufficiency: {"eigh": 1, "eigh solves": 1, "eigvalsh": 2, "eigvalsh solves": 5},
+        radical: {"svd": 4, "svd solves": 4, "qr": 2, "qr solves": 2},
+    }
+    for fn, bound in bounds.items():
+        counts.clear()
+        fn(fam, inst)
+        assert set(counts) <= set(bound), (fn.__name__, counts)
+        assert all(counts[k] <= bound[k] for k in counts), (fn.__name__, counts)
+
+
+def test_hermitian_part_leaves_its_argument_alone():
+    # built in a fresh buffer even when the transposed argument is already
+    # contiguous: a 1 x 1 stack, or the transpose of a C-ordered matrix
+    from qstarlab.forms import _hermitian_part
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for T in (X[None, :1, :1].copy(), X.T, X, np.stack([X, X.T])):
+        before = T.copy()
+        H = _hermitian_part(T)
+        assert np.array_equal(T, before)
+        assert np.array_equal(H, (before + before.conj().swapaxes(-1, -2)) / 2.0)

@@ -175,13 +175,16 @@ def test_block_rank_never_exceeds_full_rank(seed, rank, off_block, noise_exp, sc
        st.floats(min_value=-20.0, max_value=2.0), st.integers(min_value=-17, max_value=-4))
 @settings(max_examples=100, deadline=None)
 def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp):
-    # a Hermitian G of the given rank (PSD or indefinite) and right factors
-    # R_j whose columns lie in ker G, in it up to a small leak, anywhere, or
-    # nowhere (R_j = 0), with twists from 1e-150 to 1e150 and factors from
-    # 1e-50 to 1e50.  A twist the Frobenius certificate leaves out must be
-    # zero to _classify at the same floor, and a kept one must be the very
-    # matrix _twisted_grams forms for the whole stack
-    from qstarlab.forms import _classify, _twisted_grams, _twister
+    # a Hermitian G of the given rank (PSD or indefinite), held as the signed
+    # factor of its quotient section, and right factors R_j whose columns lie
+    # in ker G, in it up to a small leak, anywhere, or nowhere (R_j = 0), with
+    # twists from 1e-150 to 1e150 and factors from 1e-50 to 1e50.  A twist the
+    # Frobenius certificate leaves out must be zero to _classify at the same
+    # floor as formed from the factor, and as R^H G R up to that product's own
+    # rounding, and a kept one must be the matrix _twisted_grams forms, up to
+    # the rounding of G's scale
+    from qstarlab.forms import (_classify, _factor_twister, _hermitian_part, _twisted_grams,
+                                quotient_section)
     rng = np.random.default_rng(seed)
     rank = min(rank, d)
     V, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
@@ -198,11 +201,21 @@ def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp
             G = (G + G.conj().T) / 2.0
             R = R0 * 10.0 ** r_exp
             floor = 10.0 ** (twist_exp + floor_exp)
-            keep, kept = _twister(R)(G, floor)
+            fac = quotient_section(G, DEFAULT_TOL.rank).factor
+            keep, P, kept = _factor_twister(R)(fac, floor)
             full = _twisted_grams(G, R)
-            assert np.array_equal(kept, full[keep])
+            PR = fac.F @ R
+            formed = _hermitian_part(PR.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * PR))
+            scale = np.linalg.norm(G, 2) * np.linalg.norm(R, 2, axis=(1, 2)) ** 2
+            assert np.all(np.abs(kept - full[keep]).max(axis=(1, 2), initial=0.0)
+                          <= 1e-13 * scale[keep])
+            # R^H G R is formed here with its own rounding, of up to 2 d eps |G|_2 |R|_F^2
+            rounding = 2.0 * d * np.finfo(float).eps * np.linalg.norm(G, 2) * \
+                np.linalg.norm(R, axis=(1, 2)) ** 2
             for j in set(range(len(R))) - set(keep.tolist()):
-                assert _classify(full[j], empty, floor, DEFAULT_TOL) == "zero", (j, twist_exp, r_exp)
+                assert _classify(formed[j], empty, floor, DEFAULT_TOL) == "zero", (j, twist_exp, r_exp)
+                assert _classify(full[j], empty, floor + rounding[j], DEFAULT_TOL) == "zero", \
+                    (j, twist_exp, r_exp)
             assert 3 not in keep
             if rank < d and floor_exp >= -12.0:
                 assert 0 not in keep, (twist_exp, r_exp)

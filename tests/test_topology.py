@@ -280,3 +280,16 @@ def test_no_reference_cycles_keep_an_instance_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_ga_star_check_meets_an_infinite_probe_without_numpy_warnings():
+    # under the suite's error::RuntimeWarning a warning fails the test: the
+    # pairing and vector-bound products take such a probe as zero, and the
+    # norm routes then raise the typed error a NaN probe gets
+    from qstarlab import CharacterizationMismatch
+    b = load_bundle("m2_diag")
+    inst, fam = b["instance"], b["families"]["good"]
+    for probe in ([np.inf, 0, 0, 0], [np.inf, 1, 0, 0], [0, complex(1.0, -np.inf), 0, 0]):
+        probes = [inst.element(np.array(probe, dtype=complex)), inst.basis_element(1)]
+        with pytest.raises(CharacterizationMismatch):
+            ga_star_check(fam, inst, probes=probes)
