@@ -17,19 +17,22 @@ matrix of right multiplication by x; a twist is therefore Gram-kind,
 whatever the kind of phi.  A family is balanced when it is closed under
 basis twists, and its closure members other than the seeds are Gram-kind.
 
-The closure holds each member as a factor, G = F^H diag(signs) F with F of
-r <= dim H_phi rows, where d grows like dim H_phi squared.  A seed's factor
-comes from its quotient section's eigenpairs with |w| > d eps |G|_2, so the
-part E left out is below G's rounding; a twist's factor is F R_x, at r d^2
-where R_x^H G R_x costs d^3, and defines its Gram.  A twist is certified
-zero unformed when |F R_x|_F^2 + |E|_2 |R_x|_F^2, which bounds
-|R_x^H G R_x|_F, is below the floor (Golub & Van Loan, 2.3).  Formed twists
-are sorted into zero, known and new directions from |D|_F / sqrt(d) <=
-|D|_2 <= |D|_F, certifying a direction by 2e <= tol.form (a - e) (see
-``_classify``); a spectral norm is taken only for a member kept or where
-that is inconclusive.  The stability check's directions are fixed, so its
-candidates meet those tests as one stack (``_settled``).  Twisted members
-are labelled with the basis index they were twisted by.
+The closure holds each member's Gram and a factor of it, G = F^H diag(signs)
+F + E with F of r <= dim H_phi rows, where d grows like dim H_phi squared.
+A seed's factor comes from its quotient section's eigenpairs with
+|w| > d eps |G|_2, so the part E left out is below G's rounding; a twist's
+factor is F R_x, at r d^2 where R_x^H G R_x costs d^3.  The closure and its
+twist-stability check decide on each twist as formed from its factor,
+P^H diag(signs) P with P = F R_x: it is left out unformed when
+|P|_F^2 + |E|_2 |R_x|_F^2, which bounds its Frobenius norm, is below the
+floor (Golub & Van Loan, 2.3), and is otherwise sorted into zero, known and
+new directions from |D|_F / sqrt(d) <= |D|_2 <= |D|_F, certifying a
+direction by 2e <= tol.form (a - e) (see ``_classify``).  These guarantees
+are relative to the factor, which agrees with R_x^H G R_x up to rounding.
+A new member's Gram is R_x^H G R_x of its member's Gram, as ``twist`` forms
+it; a spectral norm is taken for it and only where the Frobenius tests are
+inconclusive.  Twisted members are labelled with the basis index they were
+twisted by.
 
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
@@ -44,8 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (Element, QuasiAlgebraInstance, _is_int, parse_complex_matrix,
-                      scaled_rows, spectral_norm)
+from .algebra import Element, QuasiAlgebraInstance, _is_int, parse_complex_matrix, spectral_norm
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
 from .probes import random_probes
 from .report import CheckResult, all_passed, pairs
@@ -144,14 +146,14 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
 
 def _classify(G, units, floor: float, tol: ToleranceConfig):
     """"zero" if |G|_2 <= floor, "known" if |G/|G|_2 - K|_2 <= tol.form for a
-    K of the stack ``units`` (each with |K|_2 = 1), else the exact |G|_2.
+    K of the stack ``units`` (each with |K|_2 = 1), else "new".
 
     Decided on G scaled to unit largest part.  Zero: |G|_F <= floor certifies
     it and |G|_F / sqrt(d) > floor rules it out.  Direction: with a = <G, K>_F
     / |K|_F^2 and e = |G - aK|_F, ||G|_2 - a| <= |G - aK|_2 <= e, so
     |G/|G|_2 - K|_2 <= 2e / (a - e) and 2e <= tol.form (a - e) certifies K;
     as |G|_2 <= |G|_F, e > sqrt(d) tol.form |G|_F rules K out.  A spectral
-    norm is taken only between those tests and for a new direction."""
+    norm is taken only between those tests; a new direction's is the caller's."""
     parts, rd = np.ravel(G).view(float), math.sqrt(len(G))
     s = float(np.abs(parts).max(initial=0.0)) or 1.0
     g = parts / s
@@ -159,7 +161,7 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     if s * f <= floor or (s * f <= rd * floor and spectral_norm(G) <= floor):
         return "zero"
     if not len(units):
-        return spectral_norm(G)
+        return "new"
     K = units.reshape(len(units), G.size).view(float)
     kk = np.einsum("ij,ij->i", K, K)
     a = (K @ g) / kk
@@ -173,35 +175,11 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     e = np.sqrt(np.einsum("ij,ij->i", D, D))
     if np.any(2.0 * e <= tol.form * (a - e)):
         return "known"
-    gn = spectral_norm(G)
     near = units[e <= rd * tol.form * f]
-    return "known" if any(spectral_norm(G / gn - U) <= tol.form for U in near) else gn
-
-
-def _settled(C, units, floor: float, tol: ToleranceConfig):
-    """``(zero, known)``: ``_classify``'s two certifying Frobenius tests, on
-    every Gram of the stack C at once; a Gram in neither is left to ``_classify``.
-    ``_classify`` keeps its scalar form, as a stack of one Gram would slow
-    the closure, which classifies its twists one at a time, by about 15%."""
-    m, dd = len(C), C.shape[-1] ** 2
-    parts = C.reshape(m, dd).view(float)
-    s = np.abs(parts).max(axis=1, initial=0.0)
-    s[s == 0.0] = 1.0
-    g = parts / s[:, None]
-    zero = s * np.sqrt(np.einsum("ij,ij->i", g, g)) <= floor
-    if not len(units):
-        return zero, np.zeros(m, dtype=bool)
-    K = units.reshape(len(units), dd).view(float)
-    kk = np.einsum("ij,ij->i", K, K)
-    a = (g @ K.T) / kk
-    k = np.argmax(a * a * kk, axis=1)
-    ak = a[np.arange(m), k]
-    # D = g - a_k K_k, built in place: the stack can hold many Grams
-    D = K[k]
-    D *= -ak[:, None]
-    D += g
-    e = np.sqrt(np.einsum("ij,ij->i", D, D))
-    return zero, ~zero & (2.0 * e <= tol.form * (ak - e))
+    if not len(near):
+        return "new"
+    gn = spectral_norm(G)
+    return "known" if any(spectral_norm(G / gn - U) <= tol.form for U in near) else "new"
 
 
 def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
@@ -216,22 +194,17 @@ def _right_mults(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
 
 
 def _twisted_grams(G, R):
-    """The Grams R[k]^H G R[k] of the twists, for a stack R of
-    right-multiplication matrices."""
-    return _hermitian_part(R.conj().transpose(0, 2, 1) @ G @ R)
+    """The Gram R^H G R of the twist by a right-multiplication matrix R, or
+    of each twist for a stack R."""
+    return _hermitian_part(R.conj().swapaxes(-1, -2) @ G @ R)
 
 
-def _frobenius_rows(M):
-    """The Frobenius norm of each matrix of a stack.  Squares can underflow or
-    overflow only in a norm far from 1, which is taken again on parts scaled
-    to at most 1."""
-    P = M.reshape(len(M), -1).view(float)
-    norms = np.sqrt(np.einsum("ij,ij->i", P, P))
-    far = ~((norms > 1e-140) & (norms < 1e140))
-    if far.any():
-        Mn, s = scaled_rows(M.reshape(len(M), -1)[far])
-        norms[far] = s * np.linalg.norm(Mn, axis=1)
-    return norms
+def _squared_frobenius(M):
+    """|M_k|_F^2 for each matrix M_k of a stack, from its real and imaginary
+    parts.  A factor's squared entries are at its Gram's own scale, so they
+    underflow or overflow only where the Gram does."""
+    P = M.reshape(len(M), math.prod(M.shape[1:])).view(float)
+    return np.einsum("ij,ij->i", P, P)
 
 
 class GramFactor:
@@ -247,23 +220,27 @@ class GramFactor:
 def _factor_twister(R):
     """``twists(factor, floor)`` for a stack R of right-multiplication
     matrices: the indices j whose twist is not certified below ``floor`` in
-    Frobenius norm, the kept twists' factors P = F R[j] and their Grams, the
-    Hermitian parts of P^H diag(signs) P.
+    Frobenius norm, the kept twists' factors P = F R[j] (the part the factor
+    leaves out twisted along), and their Grams as formed from the factor,
+    the Hermitian parts of P^H diag(signs) P.
 
     With G = F^H diag(signs) F + E, R^H G R = P^H diag(signs) P + R^H E R has
     Frobenius norm at most |P|_F^2 + |E|_2 |R|_F^2 (Golub & Van Loan, 2.3);
-    the factor 1 + 4 d^2 eps covers the rounding of the product and of every
-    norm, so a twist left out is one that ``_classify`` would call zero at
-    that floor.  It needs no positivity of G."""
+    the factor 1 + 4 d^2 eps covers the rounding of P and of every norm, so a
+    twist left out is one that ``_classify`` would call zero as formed from
+    the factor.  The guarantee is relative to the factor: the rounding of the
+    eigendecomposition that gave F, and of R^H G R formed from G itself, are
+    of order d eps |G|_2 |R|_F^2 and not covered.  It needs no positivity of G."""
     d = R.shape[-1]
     slack = 1.0 + 4.0 * d * d * np.finfo(float).eps
-    rsq = _frobenius_rows(R) ** 2
+    rsq = _squared_frobenius(R)
 
     def twists(factor, floor):
         P = factor.F @ R
-        keep = np.flatnonzero(~((_frobenius_rows(P) ** 2 + factor.dropped * rsq) * slack <= floor))
+        keep = np.flatnonzero(~(_squared_frobenius(P) + factor.dropped * rsq <= floor / slack))
         P = P[keep]
-        return keep, P, _hermitian_part(P.conj().transpose(0, 2, 1) @ (factor.signs[:, None] * P))
+        factors = [GramFactor(p, factor.signs, factor.dropped * s) for p, s in zip(P, rsq[keep].tolist())]
+        return keep, factors, _hermitian_part(P.conj().transpose(0, 2, 1) @ (factor.signs[:, None] * P))
     return twists
 
 
@@ -280,7 +257,7 @@ def twist(phi: IpsForm, x: Element, tol: ToleranceConfig = DEFAULT_TOL) -> IpsFo
     """The twisted form phi^x(a, b) = phi(a.x, b.x) for x in the subalgebra,
     as a Gram-kind form."""
     R = _right_mult_of(x, tol)
-    return IpsForm(GRAM, _twisted_grams(phi.gram(x.alg), R[None])[0], label=f"{phi.label}^tw")
+    return IpsForm(GRAM, _twisted_grams(phi.gram(x.alg), R), label=f"{phi.label}^tw")
 
 
 @dataclass
@@ -334,12 +311,15 @@ class QuotientSection:
     @cached_property
     def factor(self):
         """M as a ``GramFactor``: a row sqrt|w| v^H with sign(w) for each
-        eigenpair with |w| > d eps |M|_2, leaving out a part below M's rounding."""
-        w = np.concatenate([self.null_w, self.w])
-        V = np.hstack([self.null_dirs, self.V])
-        big = np.abs(w) > len(w) * np.finfo(float).eps * self.wmax
-        return GramFactor(np.sqrt(np.abs(w[big]))[:, None] * V[:, big].conj().T,
-                          np.sign(w[big]), float(np.abs(w[~big]).max(initial=0.0)))
+        eigenpair with |w| > d eps |M|_2, leaving out a part below M's rounding.
+        The section's kept eigenpairs all enter: the rank cut lies far above that."""
+        w, V, rest = self.w, self.V, np.abs(self.null_w)
+        big = rest > len(V) * np.finfo(float).eps * self.wmax
+        if big.any():
+            w, V, rest = np.concatenate([self.null_w[big], w]), \
+                np.hstack([self.null_dirs[:, big], V]), rest[~big]
+        return GramFactor(np.sqrt(np.abs(w))[:, None] * V.conj().T, np.sign(w),
+                          float(rest.max(initial=0.0)))
 
     def leak(self, T):
         """Largest |eigenvalue| of the Hermitian T (of each, for a stack) on the dropped directions."""
@@ -399,7 +379,8 @@ def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
 
 def _invariance_residuals(forms, tops, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     """``invariance_residual`` of each Hermitian Gram or ``GramFactor`` of a
-    list, as arrays, given each form's spectral norm in ``tops``."""
+    list, as arrays, given each form's spectral norm in ``tops``.  A factor's
+    residual is that of F^H diag(signs) F, its member's Gram up to rounding."""
     R0 = _right_mults(alg, tol)
     Sstar, _ = alg.star_matrix()
     ix = np.asarray(alg.a0_indices)
@@ -586,15 +567,14 @@ class FamilyContext:
 
     @cached_property
     def factors(self):
-        """Per closure member, the ``GramFactor`` that its twists start from."""
-        if not self.balanced:
-            return tuple(full.factor for full, _ in self.sections)
+        """Per closure member of a balanced family, the ``GramFactor`` that its
+        twists start from; an unbalanced family twists nothing and has none."""
         return self._grown[3]
 
     @cached_property
     def untwisted(self):
-        """(member, factor) for the closure members that building the closure
-        never twisted: the last round's additions, or every member at depth
+        """(member, factor) for the members of a balanced closure that building
+        it never twisted: the last round's additions, or every member at depth
         0.  Every other member's twists were pushed and found in the closure
         or zero."""
         members, start = self.closure[0], self._grown[4]
@@ -610,34 +590,45 @@ class FamilyContext:
 
     @cached_property
     def _grown(self):
-        """``closure``, the factors of a balanced closure, and where the
-        untwisted members start."""
+        """``closure``, ``factors``, and where the untwisted members start."""
         if not self.balanced:
-            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), None, 0
+            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), (), 0
         seeded = tuple(zip(self.seeds, self.seed_grams, (full.factor for full, _ in self.sections)))
-        twists, ix = _factor_twister(_right_mults(self.alg, self.tol)), self.alg.a0_indices
+        R = _right_mults(self.alg, self.tol)
+        twists, ix = _factor_twister(R), self.alg.a0_indices
         norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
         floor = 1e-14 * self.scale
 
-        def fresh(G):
-            """Whether G is nonzero and not yet a direction; if so, record it."""
+        def fresh(Gt):
+            """Whether Gt is nonzero and not yet a direction."""
+            return _classify(Gt, units, floor, self.tol) == "new"
+
+        def record(G):
+            """Take the member Gram G as a direction, with its spectral norm."""
             nonlocal units
-            gn = _classify(G, units, floor, self.tol)
-            if isinstance(gn, str):
-                return False
+            gn = spectral_norm(G)
             norms.append(gn)
             units = np.concatenate([units, (G / gn)[None]])
-            return True
 
-        kept = [member for member in seeded if fresh(member[1])]
+        kept = []
+        for member in seeded:
+            if fresh(member[1]):
+                record(member[1])
+                kept.append(member)
         frontier = seeded
         for _ in range(self.depth):
             if not frontier:
                 # a round that added nothing leaves nothing to twist
                 break
-            # a twist certified below fresh's floor is one fresh calls zero
-            new = [(IpsForm(GRAM, Gt, label=f"{phi.label}^tw{ix[j]}"), GramFactor(P, fac.signs, 0.0))
-                   for phi, _, fac in frontier for j, P, Gt in zip(*twists(fac, floor)) if fresh(Gt)]
+            # decided on the twist formed from the factor; a new member's Gram
+            # is R^H G R of its member's Gram, as ``twist`` forms it
+            new = []
+            for phi, G, fac in frontier:
+                for j, twisted, Gt in zip(*twists(fac, floor)):
+                    if fresh(Gt):
+                        tw = IpsForm(GRAM, _twisted_grams(G, R[j]), label=f"{phi.label}^tw{ix[j]}")
+                        record(tw.payload)
+                        new.append((tw, twisted))
             frontier = tuple((tw, tw.payload, fac) for tw, fac in new)
             kept += frontier
         members, grams, factors = (tuple(col) for col in zip(*kept)) if kept else ((), (), ())
@@ -794,15 +785,9 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
         # the twists that are neither zero nor a direction of the closure
         floor, units = 1e-12 * ctx.scale, ctx.nonzero[1]
         twists = _factor_twister(_right_mults(alg, tol))
-        labels, cands = [], [np.empty((0, alg.dim, alg.dim), dtype=complex)]
-        for phi, fac in ctx.untwisted:
-            keep, _, twisted = twists(fac, floor)
-            labels += [f"{phi.label} twisted by basis index {alg.a0_indices[j]}" for j in keep]
-            cands.append(twisted)
-        cands = np.concatenate(cands)
-        zero, known = _settled(cands, units, floor, tol)
-        new = [label for label, Gt, done in zip(labels, cands, zero | known)
-               if not done and not isinstance(_classify(Gt, units, floor, tol), str)]
+        new = [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
+               for phi, fac in ctx.untwisted for j, _, Gt in zip(*twists(fac, floor))
+               if _classify(Gt, units, floor, tol) == "new"]
         report.checks.append(CheckResult(
             "twist-stability", not new, {"closure_size": len(members)},
             note=new[-1] if new else "closure reproduces itself under basis twists"))
@@ -860,9 +845,8 @@ def degeneracy_residuals(a: Element, family: FormFamily, alg: QuasiAlgebraInstan
 def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
     """``degeneracy_residuals`` of each coefficient row of C, as the rows
     [r1, r2, r3, r4, scale] of one array.  r1 is the spectral norm of the
-    Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest |eigenvalue|:
-    first of the part of largest Frobenius norm, which bounds the spectral
-    norm, then of the parts whose Frobenius norm exceeds that."""
+    Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest
+    |eigenvalue|, solved only for the parts that could hold it."""
     _, grams, norms = family.context(alg, tol).closure
     G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
     R0 = _right_mults(alg, tol)
@@ -872,20 +856,21 @@ def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Tole
     GAX = G[:, None] @ AX
     Q = GAX[:, :, ix, :]
     QH = Q.conj().swapaxes(-1, -2)
-    # H[c, p]: candidate c (part, member) of probe p
-    H = np.concatenate([_hermitian_part(Q), (Q - QH) * -0.5j])
-    n0, probes = len(ix), np.arange(len(C))
-    r1 = np.zeros(len(C))
-    if len(H):
-        fro = _frobenius_rows(H.reshape(-1, n0, n0)).reshape(len(H), len(C))
-        top = np.argmax(fro, axis=0)
-        r1 = np.abs(np.linalg.eigvalsh(H[top, probes])).max(axis=1, initial=0.0)
-        # the factor covers the rounding of both norms
-        rest = fro * (1.0 + 4.0 * n0 * n0 * np.finfo(float).eps) > r1
-        rest[top, probes] = False
-        if rest.any():
-            c, p = np.nonzero(rest)
-            np.maximum.at(r1, p, np.abs(np.linalg.eigvalsh(H[c, p])).max(axis=1, initial=0.0))
+    # H[c, p]: part c (Hermitian or skew, member) for probe p.  |H|_2 lies
+    # between H's largest row norm and its Frobenius norm, so a part can hold
+    # probe p's largest |eigenvalue| only if its Frobenius norm reaches the
+    # largest row norm of p's parts; the factor covers the rounding of both.
+    # Where a probe's squares could underflow or overflow, every part is solved
+    H = np.concatenate([(Q + QH) * 0.5, (Q - QH) * -0.5j])
+    n0, parts = len(ix), H.view(float)
+    rows = np.einsum("cpij,cpij->cpi", parts, parts)
+    low = rows.max(axis=(0, 2), initial=0.0)
+    if not (low.min(initial=1.0) > 1e-280 and low.max(initial=1.0) < 1e280):
+        low[~((low > 1e-280) & (low < 1e280))] = 0.0
+    solve = ~(rows.sum(axis=2) * (1.0 + 4.0 * n0 * n0 * np.finfo(float).eps) < low)
+    tops = np.zeros(solve.shape)
+    tops[solve] = np.abs(np.linalg.eigvalsh(H[solve])).max(axis=1, initial=0.0)
+    r1 = tops.max(axis=0, initial=0.0)
     r2 = np.abs(Q).max(axis=(0, 2, 3), initial=0.0)
     r3 = (AX.conj() * GAX).sum(axis=2).real.max(axis=(0, 2), initial=0.0)
     r4 = ((G @ C.T) * C.T.conj()).sum(axis=1).real.max(axis=0, initial=0.0)

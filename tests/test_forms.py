@@ -310,11 +310,11 @@ def test_classify_agrees_with_the_spectral_definition():
                     if abs(dist - 1.0) <= 1e-6:
                         continue
                     got = _classify(G, units, 0.0, tol)
-                    assert got == ("known" if dist <= 1.0 else gn), (d, trial, t, scale)
-                    assert _classify(G, empty, 0.0, tol) == gn
+                    assert got == ("known" if dist <= 1.0 else "new"), (d, trial, t, scale)
+                    assert _classify(G, empty, 0.0, tol) == "new"
                     assert _classify(G, units, 2.0 * gn, tol) == "zero"
                     if dist > 1.0:
-                        assert _classify(G, units, 0.5 * gn, tol) == gn
+                        assert _classify(G, units, 0.5 * gn, tol) == "new"
                     checked += 1
     assert checked == 3 * 6 * 5 * 5
 
@@ -624,20 +624,26 @@ def test_random_probes_are_the_per_probe_draws():
 
 
 def test_kept_twists_are_their_factor_products_bit_for_bit():
-    # a kept twist is the product P = F R[j] that its zero certificate took,
-    # its Gram is the Hermitian part of P^H diag(signs) P to the bit, and that
-    # Gram is R[j]^H G R[j] up to the rounding of G's scale
-    from qstarlab.forms import _factor_twister, _hermitian_part, _right_mults, _twisted_grams
+    # a kept twist's factor is the product P = F R[j] that its zero
+    # certificate took, carrying the part F leaves out twisted along; the
+    # Gram it is decided on is the Hermitian part of P^H diag(signs) P to the
+    # bit, and is R[j]^H G R[j] up to the rounding of G's scale
+    from qstarlab.forms import (_factor_twister, _hermitian_part, _right_mults, _squared_frobenius,
+                                _twisted_grams)
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=4, seed=8, n_min=4, n_max=8)
     formed = 0
     for inst, fam in pairs:
+        fam = FormFamily(fam.seeds, True, fam.twist_depth, fam.label)
         R = _right_mults(inst, DEFAULT_TOL)
-        twists = _factor_twister(R)
+        twists, rsq = _factor_twister(R), _squared_frobenius(R)
         ctx = fam.context(inst)
-        for G, fac in zip(ctx.closure[1], ctx.factors):
-            keep, P, grams = twists(fac, 0.0)
-            assert P.tobytes() == (fac.F @ R)[keep].tobytes()
+        for G, fac in zip(ctx.closure[1], ctx.factors, strict=True):
+            keep, factors, grams = twists(fac, 0.0)
+            P = (fac.F @ R)[keep]
+            assert [f.F.tobytes() for f in factors] == [p.tobytes() for p in P]
+            assert all(f.signs is fac.signs for f in factors)
+            assert [f.dropped for f in factors] == list(fac.dropped * rsq[keep])
             assert grams.tobytes() == _hermitian_part(
                 P.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * P)).tobytes()
             ref = _twisted_grams(G, R[keep])
@@ -649,8 +655,9 @@ def test_kept_twists_are_their_factor_products_bit_for_bit():
 
 def _reference_closure(fam, inst, tol=DEFAULT_TOL):
     """The closure as R^H G R twists: every basis twist of every frontier
-    member formed and classified in order, with no zero certificate.
-    Returns (labels, Grams, norms, labels of the untwisted members)."""
+    member formed from its Gram and classified in order, with no zero
+    certificate.  Returns (labels, Grams, norms, labels of the untwisted members)."""
+    from qstarlab.algebra import spectral_norm
     from qstarlab.forms import _classify, _right_mults, _twisted_grams
     R, ix = _right_mults(inst, tol), inst.a0_indices
     ctx = fam.context(inst, tol)
@@ -659,9 +666,9 @@ def _reference_closure(fam, inst, tol=DEFAULT_TOL):
 
     def fresh(G):
         nonlocal units
-        gn = _classify(G, units, floor, tol)
-        if isinstance(gn, str):
+        if _classify(G, units, floor, tol) != "new":
             return False
+        gn = spectral_norm(G)
         norms.append(gn)
         units = np.concatenate([units, (G / gn)[None]])
         return True
@@ -689,9 +696,9 @@ def _indefinite_gram_family(depth):
 
 
 def test_closure_from_factors_matches_the_twisted_gram_reference():
-    # the closure twists each member's factor; the reference twists Grams by
-    # R^H G R.  Same members, labels and order, same untwisted members, and
-    # Grams and norms within 1e-13 of the largest Gram's spectral norm
+    # the closure decides on twists formed from each member's factor; the
+    # reference forms and decides on every R^H G R.  Same members, labels and
+    # order, same untwisted members, and the very Grams and norms
     cases = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     for n in (4, 6, 8):
         cases += make_corpus(count=3, seed=40 + n, n_min=n, n_max=n)
@@ -707,10 +714,9 @@ def test_closure_from_factors_matches_the_twisted_gram_reference():
         members, got_grams, got_norms = ctx.closure
         assert [m.label for m in members] == labels
         assert [m.label for m, _ in ctx.untwisted] == untwisted
-        scale = max(norms, default=0.0)
         for G, ref in zip(got_grams, grams, strict=True):
-            assert np.abs(G - ref).max() <= 1e-13 * scale
-        assert np.allclose(got_norms, norms, rtol=0.0, atol=1e-13 * scale)
+            assert G.tobytes() == ref.tobytes()
+        assert list(got_norms) == norms
         assert len(ctx.factors) == len(members)
         derived += len(members) - len(fam.seeds)
     assert derived > 100
@@ -730,15 +736,22 @@ def test_indefinite_seed_twists_through_its_signed_factor():
 
 
 def test_r1_reads_only_the_parts_that_could_hold_the_maximum():
-    # _degeneracy_rows solves the part of largest Frobenius norm, then only the
-    # parts whose Frobenius norm could exceed that; r1 must be the maximum
-    # over every part's eigenvalues, bit for bit
+    # _degeneracy_rows solves only the parts whose Frobenius norm reaches the
+    # largest row norm among a probe's parts, and every part of a probe whose
+    # squares could underflow or overflow; r1 must be the maximum over every
+    # part's eigenvalues, bit for bit
     from qstarlab.forms import _degeneracy_rows, _right_mults
     from qstarlab.probes import random_probes
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=4, seed=2) + make_corpus(count=3, seed=8, n_min=4, n_max=8)
     m2 = load_bundle("m2_diag")["instance"]
     pairs.append((m2, FormFamily([IpsForm("vector_state", np.zeros((2, 2)), label="z")], True, 1)))
+    for name, key in (("m2_full", "trace"), ("m3_pattern", "good")):
+        b = load_bundle(name)
+        fam = b["families"][key]
+        pairs += [(b["instance"], FormFamily([IpsForm(phi.kind, c * phi.payload, phi.label)
+                                              for phi in fam.seeds], True, 1, fam.label))
+                  for c in (1e-200, 1e-150, 1e150, 1e200)]
     rows = 0
     for inst, fam in pairs:
         rep = check_sufficiency(fam, inst)
@@ -761,8 +774,8 @@ def test_r1_reads_only_the_parts_that_could_hold_the_maximum():
 
 def test_intake_lapack_calls_stay_bounded(monkeypatch):
     # validate_family, check_sufficiency and radical on a fresh n = 8 pair:
-    # each seed is decomposed once, r1 solves 4 of its 72 Hermitian parts
-    # and one more, and a tall null basis is a QR then a square SVD.  A later
+    # each seed is decomposed once, r1 solves 6 of its 72 Hermitian parts in
+    # one call, and a tall null basis is a QR then a square SVD.  A later
     # per-seed eigh or an unfiltered eigen-solve raises a count
     from qstarlab import radical
     inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
@@ -782,7 +795,7 @@ def test_intake_lapack_calls_stay_bounded(monkeypatch):
     bounds = {
         validate_family: {"eigh": 3, "eigh solves": 3, "eigvalsh": 2, "eigvalsh solves": 9,
                           "svd": 9, "svd solves": 9},
-        check_sufficiency: {"eigh": 1, "eigh solves": 1, "eigvalsh": 2, "eigvalsh solves": 5},
+        check_sufficiency: {"eigh": 1, "eigh solves": 1, "eigvalsh": 1, "eigvalsh solves": 6},
         radical: {"svd": 4, "svd solves": 4, "qr": 2, "qr solves": 2},
     }
     for fn, bound in bounds.items():

@@ -202,7 +202,7 @@ def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp
             R = R0 * 10.0 ** r_exp
             floor = 10.0 ** (twist_exp + floor_exp)
             fac = quotient_section(G, DEFAULT_TOL.rank).factor
-            keep, P, kept = _factor_twister(R)(fac, floor)
+            keep, _, kept = _factor_twister(R)(fac, floor)
             full = _twisted_grams(G, R)
             PR = fac.F @ R
             formed = _hermitian_part(PR.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * PR))

@@ -293,3 +293,27 @@ def test_ga_star_check_meets_an_infinite_probe_without_numpy_warnings():
         probes = [inst.element(np.array(probe, dtype=complex)), inst.basis_element(1)]
         with pytest.raises(CharacterizationMismatch):
             ga_star_check(fam, inst, probes=probes)
+
+
+def test_ga_star_check_skipped_products_per_bundle_family():
+    # how many bounded-part products the norm laws leave unchecked, for every
+    # bundle family at depths 0-2 (None: the check is not reached).  These
+    # counts follow the closure members' Grams to the bit, so a change in how
+    # a member's Gram is formed shows here first
+    from qstarlab.bundled import bundle_names
+    want = {("lp_k2_p4", "points"): (0, 0, 0), ("m2_diag", "good"): (None, 0, 0),
+            ("m2_diag", "bad"): (None, None, None), ("m2_flip", "amb"): (None, None, None),
+            ("m2_full", "trace"): (8, 8, 8), ("m2_full", "rank1"): (None, 8, 8),
+            ("m3_pattern", "good"): (None, None, None)}
+    got = {}
+    for name in bundle_names():
+        b = load_bundle(name)
+        for key, fam in b["families"].items():
+            counts = []
+            for depth in (0, 1, 2):
+                report = ga_star_check(FormFamily(fam.seeds, fam.balanced, depth, fam.label),
+                                       b["instance"]).as_dict()
+                laws = [c for c in report["consequences"] if c["name"] == "bounded-part-norm-laws"]
+                counts.append(laws[0]["data"]["skipped_products"] if laws else None)
+            got[name, key] = tuple(counts)
+    assert got == want
