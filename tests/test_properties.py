@@ -204,8 +204,8 @@ def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp
             fac = quotient_section(G, DEFAULT_TOL.rank).factor
             keep, _, kept = _factor_twister(R)(fac, floor)
             full = _twisted_grams(G, R)
-            PR = fac.F @ R
-            formed = _hermitian_part(PR.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * PR))
+            FR = fac.F @ R
+            formed = _hermitian_part(FR.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * FR))
             scale = np.linalg.norm(G, 2) * np.linalg.norm(R, 2, axis=(1, 2)) ** 2
             assert np.all(np.abs(kept - full[keep]).max(axis=(1, 2), initial=0.0)
                           <= 1e-13 * scale[keep])
