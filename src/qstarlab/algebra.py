@@ -6,6 +6,15 @@ A0 that contains the unit.  A carries the involution a -> a^H and the left
 and right A0 module actions; full products inside A are deliberately not
 provided.  Membership in a span is always decided by least-squares residual
 against the declared basis.
+
+Working set: a kernel over a stack of products walks it in ``blocks`` of
+whole subalgebra basis elements, finishes each residual in its own buffer
+and reads its norms from there.  A block holds at most ``BLOCK_BYTES`` of
+products, so a bundle, or the right-multiplication table of an n <= 6
+instance, is one block, and no intake stage holds more than about 1 MB of
+temporaries at n = 8.  The reason is the allocator: glibc hands a heap
+that grew by megabytes back to the kernel when a stage frees it, and the
+next stage then faults every page of it in again.
 """
 
 from __future__ import annotations
@@ -66,6 +75,23 @@ def parse_complex_matrix(rows, source, field_name, shape=None):
     if shape is not None and out.shape != shape:
         raise ParseError(source, f"matrix has shape {out.shape}, expected {shape}", field=field_name)
     return out
+
+
+BLOCK_BYTES = 1 << 18
+
+
+def blocks(count, item_bytes):
+    """Slices over range(count) in runs of whole items of ``item_bytes`` each,
+    at most ``BLOCK_BYTES`` a run and one item at least."""
+    step = max(1, BLOCK_BYTES // max(int(item_bytes), 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _squared_moduli(D):
+    """|D|^2 entrywise, squared in D's own buffer, which it overwrites."""
+    parts = D.view(float)
+    np.square(parts, out=parts)
+    return parts[..., ::2] + parts[..., 1::2]
 
 
 def _pinv_and_singular_values(M):
@@ -235,17 +261,26 @@ class QuasiAlgebraInstance:
     def _right_products(self):
         """``right_mult_table`` and, at ``[2][j, i]``, the Frobenius norm of
         the span residual of the product a_i @ x_j, which structure
-        validation reads as the right half of its bimodule closure."""
+        validation reads as the right half of its bimodule closure.  Formed
+        in blocks of whole x_j, each product a GEMM of its own."""
         B = np.stack(self.basis)
         X = B[list(self.a0_indices)]
-        # prods[k] is right_mult_matrix's column stack of vec(a_i @ x_k) over i
-        prods = (B[None] @ X[:, None]).reshape(len(X), self.dim, -1).transpose(0, 2, 1)
-        R0 = self._pinv @ prods
-        D = self._bmat @ R0 - prods
-        res = np.abs(D).max(axis=(1, 2), initial=0.0)
+        n0, d = len(X), self.dim
+        R0, res, fro = np.empty((n0, d, d), dtype=complex), np.empty(n0), np.empty((n0, d))
+        for blk in blocks(n0, B.nbytes):
+            # prods[k] is right_mult_matrix's column stack of vec(a_i @ x_k) over i
+            prods = (B[None] @ X[blk, None]).reshape(-1, d, self.n * self.n).transpose(0, 2, 1)
+            np.matmul(self._pinv, prods, out=R0[blk])
+            # the residual in one buffer, its norms read from there
+            D = self._bmat @ R0[blk]
+            D -= prods
+            sq = _squared_moduli(D)
+            res[blk], fro[blk] = np.sqrt(sq.max(axis=(1, 2), initial=0.0)), np.sqrt(sq.sum(axis=1))
+            # freed before the next block is formed
+            del prods, D, sq
         scale = np.maximum(np.linalg.norm(X, axis=(1, 2)), 1e-300)
         R0.setflags(write=False)
-        return R0, res / scale, np.linalg.norm(D, axis=1)
+        return R0, res / scale, fro
 
     # -- serialization ------------------------------------------------------
 
@@ -429,11 +464,18 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
     nb = np.linalg.norm(B.reshape(d, -1), axis=1)
     nx = nb[ix]
 
-    def resid(prods, sub):
-        """The Frobenius norm of each product's residual against the span."""
-        P = prods.reshape(-1, n * n).T
+    def resid(P, sub):
+        """The Frobenius norm of the span residual of each column of P, a vec'd
+        product, formed in one buffer and read from there."""
         bmat, pinv = (alg._bmat_a0, alg._pinv_a0) if sub else (alg._bmat, alg._pinv)
-        return np.linalg.norm(bmat @ (pinv @ P) - P, axis=0).reshape(prods.shape[:-2])
+        D = bmat @ (pinv @ P)
+        D -= P
+        return np.sqrt(_squared_moduli(D).sum(axis=0))
+
+    def products(left, right, sub):
+        """``resid`` of every product left[j] @ right[k], at [j, k], in blocks of whole j."""
+        return np.concatenate([resid((left[blk, None] @ right).reshape(-1, n * n).T, sub)
+                               .reshape(-1, len(right)) for blk in blocks(len(left), right.nbytes)])
 
     def closure(name, res, scale, key, where):
         """Worst span residual of the products, relative to their scale;
@@ -446,16 +488,16 @@ def validate_structure(alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT
     def adj(M):
         return M.conj().swapaxes(-1, -2)
 
-    closure("subalgebra-product-closure", resid(X[:, None] @ X[None], True), np.outer(nx, nx),
+    closure("subalgebra-product-closure", products(X, X, True), np.outer(nx, nx),
             "worst_pair", lambda j, k: (ix[j], ix[k]))
-    closure("subalgebra-involution-closure", resid(adj(X), True), nx,
+    closure("subalgebra-involution-closure", resid(adj(X).reshape(-1, n * n).T, True), nx,
             "worst_index", lambda j: ix[j])
     # the adjoints a_i^H and their residuals come from the instance's involution matrix
     closure("involution-closure", alg.star_matrix()[1], nb,
             "worst_index", lambda i: i)
     # the right half, a_i x_j, comes from the instance's right-multiplication table
     closure("bimodule-closure",
-            np.stack([resid(X[:, None] @ B, False), alg._right_products[2]], axis=2),
+            np.stack([products(X, B, False), alg._right_products[2]], axis=2),
             np.repeat(np.outer(nx, nb)[:, :, None], 2, axis=2),
             "worst_triple", lambda j, i, s: (("left", "right")[s], ix[j], i))
 

@@ -34,6 +34,12 @@ it; a spectral norm is taken for it and only where the Frobenius tests are
 inconclusive.  Twisted members are labelled with the basis index they were
 twisted by.
 
+Intake keeps ``algebra``'s working-set rule: the closure forms its kept
+twists' Grams, and the invariance residuals and degeneracy rows their
+products, in ``blocks`` of whole subalgebra basis elements or members,
+and a derived member's products F R_x are formed once, for its invariance
+residual and its twists, one member at a time.
+
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
 when either changes; nothing needs clearing by hand.
@@ -47,7 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance, _is_int, parse_complex_matrix, spectral_norm
+from .algebra import (Element, QuasiAlgebraInstance, _is_int, blocks, parse_complex_matrix,
+                      spectral_norm)
 from .errors import ClosureViolation, EmptyFamily, NotInA0, NotIps, ParseError
 from .probes import random_probes
 from .report import CheckResult, all_passed, pairs
@@ -93,7 +100,7 @@ class IpsForm:
         if self.kind == VECTOR_STATE:
             w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
             root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-            P = np.column_stack([(m @ root).reshape(-1) for m in alg.basis])
+            P = (np.stack(alg.basis) @ root).reshape(alg.dim, -1).T
             G = P.conj().T @ P
         G = (G + G.conj().T) / 2.0
         G.setflags(write=False)
@@ -144,9 +151,17 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
     return _classify(Gp, (Gq / nq)[None], 0.0, tol) == "known" if nq else not Gp.any()
 
 
-def _classify(G, units, floor: float, tol: ToleranceConfig):
+def _unit_norms(units):
+    """|K|_F^2 of each unit K of a stack, as ``_classify`` reads them: a stack
+    gives each unit the bits it would give it alone."""
+    K = units.reshape(len(units), math.prod(units.shape[1:])).view(float)
+    return np.einsum("ij,ij->i", K, K)
+
+
+def _classify(G, units, floor: float, tol: ToleranceConfig, kk=None):
     """"zero" if |G|_2 <= floor, "known" if |G/|G|_2 - K|_2 <= tol.form for a
-    K of the stack ``units`` (each with |K|_2 = 1), else "new".
+    K of the stack ``units`` (each with |K|_2 = 1), else "new".  ``kk`` is
+    ``_unit_norms(units)``, for a caller that keeps them with its stack.
 
     Decided on G scaled to unit largest part.  Zero: |G|_F <= floor certifies
     it and |G|_F / sqrt(d) > floor rules it out.  Direction: with a = <G, K>_F
@@ -163,7 +178,7 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     if not len(units):
         return "new"
     K = units.reshape(len(units), G.size).view(float)
-    kk = np.einsum("ij,ij->i", K, K)
+    kk = _unit_norms(units) if kk is None else kk
     a = (K @ g) / kk
     # the unit at the smallest angle first: its e is the full test's, bit for bit
     k = int(np.argmax(a * a * kk))
@@ -171,7 +186,8 @@ def _classify(G, units, floor: float, tol: ToleranceConfig):
     e = math.sqrt(np.einsum("i,i", D, D))
     if 2.0 * e <= tol.form * (a[k] - e):
         return "known"
-    D = g - a[:, None] * K
+    D = a[:, None] * K
+    np.subtract(g, D, out=D)
     e = np.sqrt(np.einsum("ij,ij->i", D, D))
     if np.any(2.0 * e <= tol.form * (a - e)):
         return "known"
@@ -218,11 +234,13 @@ class GramFactor:
 
 
 def _factor_twister(R):
-    """``twists(factor, floor)`` for a stack R of right-multiplication
-    matrices: the indices j whose twist is not certified below ``floor`` in
-    Frobenius norm, the kept twists' factors P = F R[j] (the part the factor
-    leaves out twisted along), and their Grams as formed from the factor,
-    the Hermitian parts of P^H diag(signs) P.
+    """``twists(factor, floor, P=None)`` for a stack R of right-multiplication
+    matrices: for each j whose twist is not certified below ``floor`` in
+    Frobenius norm, in order, (j, the twist's factor P[j], its Gram as formed
+    from the factor), with P = F R the factor's products, formed here unless
+    the caller holds them.  A twist's factor carries the part F leaves out
+    twisted along; its Gram is the Hermitian part of P[j]^H diag(signs) P[j],
+    formed for a block of kept twists at a time.
 
     With G = F^H diag(signs) F + E, R^H G R = P^H diag(signs) P + R^H E R has
     Frobenius norm at most |P|_F^2 + |E|_2 |R|_F^2 (Golub & Van Loan, 2.3);
@@ -235,12 +253,15 @@ def _factor_twister(R):
     slack = 1.0 + 4.0 * d * d * np.finfo(float).eps
     rsq = _squared_frobenius(R)
 
-    def twists(factor, floor):
-        P = factor.F @ R
+    def twists(factor, floor, P=None):
+        P = factor.F @ R if P is None else P
         keep = np.flatnonzero(~(_squared_frobenius(P) + factor.dropped * rsq <= floor / slack))
-        P = P[keep]
-        factors = [GramFactor(p, factor.signs, factor.dropped * s) for p, s in zip(P, rsq[keep].tolist())]
-        return keep, factors, _hermitian_part(P.conj().transpose(0, 2, 1) @ (factor.signs[:, None] * P))
+        for blk in blocks(len(keep), 32 * d * d):
+            js = keep[blk]
+            Pk = P[js]
+            grams = _hermitian_part(Pk.conj().transpose(0, 2, 1) @ (factor.signs[:, None] * Pk))
+            for j, p, s, Gt in zip(js.tolist(), Pk, rsq[js].tolist(), grams):
+                yield j, GramFactor(p, factor.signs, factor.dropped * s), Gt
     return twists
 
 
@@ -288,11 +309,14 @@ class FormReport:
 def _psd_margins(mats):
     """Per matrix of a stack: (hermiticity residual, min eig, max |eig|).  The
     residual is relative to the spectral norm, taken only off exact symmetry."""
-    skew = mats - mats.conj().transpose(0, 2, 1)
-    herm = [spectral_norm(D) / max(spectral_norm(M), 1e-300)
-            if D.any() else 0.0 for M, D in zip(mats, skew)]
-    w = np.linalg.eigvalsh((mats + mats.conj().transpose(0, 2, 1)) / 2.0)
-    return np.array(herm), w.min(axis=1, initial=np.inf), np.abs(w).max(axis=1, initial=0.0)
+    H = _hermitian_part(mats)
+    # H is Hermitian to the bit, so it differs from every matrix that is not
+    herm = np.zeros(len(mats))
+    for k in np.flatnonzero((H != mats).any(axis=(1, 2))):
+        D = mats[k] - mats[k].conj().T
+        herm[k] = spectral_norm(D) / max(spectral_norm(mats[k]), 1e-300) if D.any() else 0.0
+    w = np.linalg.eigvalsh(H)
+    return herm, w.min(axis=1, initial=np.inf), np.abs(w).max(axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -377,31 +401,40 @@ def invariance_residual(phi: IpsForm, alg: QuasiAlgebraInstance,
     return float(worst[0]), float(scale[0])
 
 
-def _invariance_residuals(forms, tops, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
-    """``invariance_residual`` of each Hermitian Gram or ``GramFactor`` of a
-    list, as arrays, given each form's spectral norm in ``tops``.  A factor's
-    residual is that of F^H diag(signs) F, its member's Gram up to rounding."""
-    R0 = _right_mults(alg, tol)
-    Sstar, _ = alg.star_matrix()
+def _invariance_residuals(grams, tops, alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``invariance_residual`` of each Hermitian Gram of a list, as arrays,
+    given each one's spectral norm in ``tops``."""
+    worst, R0 = _invariance_worst(alg, tol), _right_mults(alg, tol)
     ix = np.asarray(alg.a0_indices)
-    n0, d = R0.shape[:2]
-    # one GEMM per side and Gram: lhs[k, i, j] = phi(a_i x_j, x_k) from the columns
-    # (i, j) of Rt, rhs[k, i, j] = phi(x_j, a_i^H x_k) from the rows (k, i) of Pc;
-    # a factor's G[ix, :] and G[:, ix] are multiplied inside out, unformed.
-    # One form at a time: the whole stack's arrays would set the process's peak memory
-    Rt = R0.transpose(1, 2, 0).reshape(d, d * n0)
-    Pc = (Sstar.conj().T @ R0.conj().transpose(0, 2, 1)).reshape(n0 * d, d)
+    return np.array([worst(G[ix, :], G[:, ix], R0) for G in grams]), _invariance_scale(alg, tops)
 
-    def worst(form):
-        if isinstance(form, GramFactor):
-            sFx = form.signs[:, None] * form.F[:, ix]
-            lhs, rhs = sFx.conj().T @ (form.F @ Rt), (Pc @ form.F.conj().T) @ sFx
-        else:
-            lhs, rhs = form[ix, :] @ Rt, Pc @ form[:, ix]
-        return np.abs(lhs.reshape(-1) - rhs.reshape(-1)).max(initial=0.0)
+
+def _invariance_scale(alg: QuasiAlgebraInstance, tops):
+    """The scale of ``invariance_residual`` for forms of spectral norms ``tops``."""
     bnorm = max(float(np.linalg.norm(b)) for b in alg.basis)
-    return (np.array([worst(form) for form in forms]),
-            (1.0 + np.asarray(tops, dtype=float)) * (1.0 + bnorm) ** 2)
+    return (1.0 + np.asarray(tops, dtype=float)) * (1.0 + bnorm) ** 2
+
+
+def _invariance_worst(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
+    """``worst(L, Lh, P)``: the largest |phi(a_i x_j, x_k) - phi(x_j, a_i^H x_k)|
+    over all basis triples, for the Hermitian form phi with Gram rows
+    G[ix, :] = L F, Lh = L^H, and P = F R0 stacked over x_j.  A Gram is
+    L = G[ix, :] with P = R0; a ``GramFactor`` is Lh = diag(signs) F[:, ix]
+    with P its products, which its twists read too."""
+    R0 = _right_mults(alg, tol)
+    Sh = alg.star_matrix()[0].conj().T
+    n0, d = R0.shape[:2]
+
+    def worst(L, Lh, P):
+        # per block of x_k, one GEMM per side and one buffer: D[k, i, j] holds
+        # phi(x_j, a_i^H x_k) = (S^H P[k]^H L^H)[i, j] less phi(a_i x_j, x_k) = (L P[j])[k, i]
+        out = 0.0
+        for kb in blocks(n0, 16 * d * (n0 + P.shape[1])):
+            D = (Sh @ P[kb].conj().transpose(0, 2, 1)) @ Lh
+            D -= (L[kb] @ P).transpose(1, 2, 0)
+            out = max(out, float(np.abs(D).max(initial=0.0)))
+        return out
+    return worst
 
 
 def validate_ips_form(phi: IpsForm, alg: QuasiAlgebraInstance,
@@ -590,25 +623,27 @@ class FamilyContext:
 
     @cached_property
     def _grown(self):
-        """``closure``, ``factors``, and where the untwisted members start."""
+        """``closure``, ``factors``, where the untwisted members start, and for
+        a balanced family its ``directions``, which the closure is built on."""
         if not self.balanced:
-            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), (), 0
+            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), (), 0, None
         seeded = tuple(zip(self.seeds, self.seed_grams, (full.factor for full, _ in self.sections)))
         R = _right_mults(self.alg, self.tol)
         twists, ix = _factor_twister(R), self.alg.a0_indices
-        norms, units = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex)
+        norms, units, kk = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex), np.empty(0)
         floor = 1e-14 * self.scale
 
         def fresh(Gt):
             """Whether Gt is nonzero and not yet a direction."""
-            return _classify(Gt, units, floor, self.tol) == "new"
+            return _classify(Gt, units, floor, self.tol, kk) == "new"
 
         def record(G):
             """Take the member Gram G as a direction, with its spectral norm."""
-            nonlocal units
+            nonlocal units, kk
             gn = spectral_norm(G)
             norms.append(gn)
             units = np.concatenate([units, (G / gn)[None]])
+            kk = np.append(kk, _unit_norms(units[-1:]))
 
         kept = []
         for member in seeded:
@@ -624,7 +659,7 @@ class FamilyContext:
             # is R^H G R of its member's Gram, as ``twist`` forms it
             new = []
             for phi, G, fac in frontier:
-                for j, twisted, Gt in zip(*twists(fac, floor)):
+                for j, twisted, Gt in twists(fac, floor):
                     if fresh(Gt):
                         tw = IpsForm(GRAM, _twisted_grams(G, R[j]), label=f"{phi.label}^tw{ix[j]}")
                         record(tw.payload)
@@ -633,16 +668,26 @@ class FamilyContext:
             kept += frontier
         members, grams, factors = (tuple(col) for col in zip(*kept)) if kept else ((), (), ())
         return members, grams, tuple(norms), factors, \
-            len(kept) - len(frontier) if self.depth > 0 else 0
+            len(kept) - len(frontier) if self.depth > 0 else 0, (units, kk)
 
     @cached_property
     def nonzero(self):
         """Labels and stacked normalized Gram matrices of the nonzero members."""
         members, grams, norms = self.closure
         keep = [i for i, gn in enumerate(norms) if gn > 0]
+        return [members[i].label for i in keep], self.directions[0]
+
+    @cached_property
+    def directions(self):
+        """``(units, kk)``: the nonzero members' Grams normalized to unit
+        spectral norm, stacked, and ``_unit_norms`` of them."""
+        if self._grown[5] is not None:
+            # a balanced closure keeps exactly its nonzero members, each as G / |G|_2
+            return self._grown[5]
+        _, grams, norms = self.closure
         d = self.alg.dim
-        return ([members[i].label for i in keep],
-                np.reshape([grams[i] / norms[i] for i in keep], (-1, d, d)))
+        units = np.reshape([G / gn for G, gn in zip(grams, norms) if gn > 0], (-1, d, d))
+        return units, _unit_norms(units)
 
     @cached_property
     def gram_sum(self):
@@ -765,29 +810,42 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     herm_res, wmin, wmax = _psd_margins(
         np.array([grams[i] for i in derived], dtype=complex).reshape(-1, alg.dim, alg.dim))
     worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
-    # the seeds' Grams and the derived members' factors in one pass
+
+    # one member at a time, the products P = F R0 of each derived or untwisted
+    # member's factor, read by its invariance residual and by its twists
+    R0, ix = _right_mults(alg, tol), np.asarray(alg.a0_indices)
+    worst, twists = _invariance_worst(alg, tol), _factor_twister(R0)
     n = len(family.seeds)
-    inv_res, inv_scale = _invariance_residuals(
-        [*ctx.seed_grams, *(ctx.factors[i] for i in derived)],
-        [*(full.wmax for full, _ in ctx.sections), *wmax], alg, tol)
-    worst_inv = float(np.max(inv_res[n:] / inv_scale[n:], initial=0.0))
+    inv_scale = _invariance_scale(alg, [*(full.wmax for full, _ in ctx.sections), *wmax])
+    inv_res = [worst(G[ix, :], G[:, ix], R0) for G in ctx.seed_grams]
     report = FamilyReport(label=family.label, balanced=family.balanced,
                           twist_depth=family.twist_depth, closure_size=len(members),
                           seed_reports=[_form_report(*args, tol, require_density=False)
                                         for args in zip(family.seeds, ctx.sections,
-                                                        inv_res[:n], inv_scale[:n])])
+                                                        inv_res, inv_scale[:n])])
     report.checks.append(CheckResult(
         "closure-positivity", worst_pos <= tol.psd, {"worst_relative_defect": worst_pos}))
+
+    worst_inv, new = 0.0, []
+    if family.balanced:
+        scales = dict(zip(derived, inv_scale[n:]))
+        untwisted = {id(phi) for phi, _ in ctx.untwisted}
+        floor, (units, kk) = 1e-12 * ctx.scale, ctx.directions
+        for i, (phi, fac) in enumerate(zip(members, ctx.factors)):
+            if i not in scales and id(phi) not in untwisted:
+                continue
+            P = fac.F @ R0
+            if i in scales:
+                Lh = fac.signs[:, None] * fac.F[:, ix]
+                worst_inv = max(worst_inv, float(worst(Lh.conj().T, Lh, P) / scales[i]))
+            if id(phi) in untwisted:
+                # the twists that are neither zero nor a direction of the closure
+                new += [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
+                        for j, _, Gt in twists(fac, floor, P)
+                        if _classify(Gt, units, floor, tol, kk) == "new"]
     report.checks.append(CheckResult(
         "closure-invariance", worst_inv <= tol.form, {"worst_relative_residual": worst_inv}))
-
     if family.balanced:
-        # the twists that are neither zero nor a direction of the closure
-        floor, units = 1e-12 * ctx.scale, ctx.nonzero[1]
-        twists = _factor_twister(_right_mults(alg, tol))
-        new = [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
-               for phi, fac in ctx.untwisted for j, _, Gt in zip(*twists(fac, floor))
-               if _classify(Gt, units, floor, tol) == "new"]
         report.checks.append(CheckResult(
             "twist-stability", not new, {"closure_size": len(members)},
             note=new[-1] if new else "closure reproduces itself under basis twists"))
@@ -848,32 +906,67 @@ def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Tole
     Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest
     |eigenvalue|, solved only for the parts that could hold it."""
     _, grams, norms = family.context(alg, tol).closure
-    G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
     R0 = _right_mults(alg, tol)
     ix = np.asarray(alg.a0_indices)
+    m, n0 = len(grams), len(ix)
     # AX[p, i, j] holds the coefficient i of a_p.x_j, GAX[g, p] = G_g AX[p]
     AX = (R0 @ C.T).transpose(2, 1, 0)
-    GAX = G[:, None] @ AX
-    Q = GAX[:, :, ix, :]
-    QH = Q.conj().swapaxes(-1, -2)
-    # H[c, p]: part c (Hermitian or skew, member) for probe p.  |H|_2 lies
-    # between H's largest row norm and its Frobenius norm, so a part can hold
-    # probe p's largest |eigenvalue| only if its Frobenius norm reaches the
-    # largest row norm of p's parts; the factor covers the rounding of both.
-    # Where a probe's squares could underflow or overflow, every part is solved
-    H = np.concatenate([(Q + QH) * 0.5, (Q - QH) * -0.5j])
-    n0, parts = len(ix), H.view(float)
-    rows = np.einsum("cpij,cpij->cpi", parts, parts)
+
+    def stack(members):
+        return np.array([grams[k] for k in members], dtype=complex).reshape(-1, alg.dim, alg.dim)
+
+    def parts(G):
+        """For a stack G of member Grams: GAX and Q = GAX[..., ix, :], and H[s, g, p]
+        the Hermitian (s = 0) and skew (s = 1) parts (Q + Q^H)/2 and (Q - Q^H)/2i."""
+        GAX = G[:, None] @ AX
+        Q = GAX[:, :, ix, :]
+        QH = Q.swapaxes(-1, -2).copy()
+        np.conjugate(QH, out=QH)
+        H = np.empty((2, *Q.shape), dtype=complex)
+        np.add(Q, QH, out=H[0])
+        H[0] *= 0.5
+        np.subtract(Q, QH, out=H[1])
+        H[1] *= -0.5j
+        return GAX, Q, H
+
+    # rows[s, g, p, i]: the squared norm of row i of part H[s, g, p]; r2, r3
+    # and r4 read each block of members as it passes
+    rows, H = np.empty((2, m, len(C), n0)), None
+    r2, r3, r4 = np.zeros(len(C)), np.zeros(len(C)), np.zeros(len(C))
+    for blk in blocks(m, 64 * len(C) * alg.dim * n0):
+        G = stack(range(m)[blk])
+        GAX, Q, H = parts(G)
+        pv = H.view(float)
+        rows[:, blk] = np.einsum("scpij,scpij->scpi", pv, pv)
+        r2 = np.maximum(r2, np.abs(Q).max(axis=(0, 2, 3), initial=0.0))
+        # Re(conj(GAX) AX) is Re(conj(AX) GAX) to the bit
+        np.conjugate(GAX, out=GAX)
+        GAX *= AX
+        r3 = np.maximum(r3, GAX.sum(axis=2).real.max(axis=(0, 2), initial=0.0))
+        r4 = np.maximum(r4, ((G @ C.T) * C.T.conj()).sum(axis=1).real.max(axis=0, initial=0.0))
+        # freed before the next block is formed; H stays for the parts to solve
+        del G, GAX, Q, pv
+    # part c (side, member) for probe p.  |H|_2 lies between H's largest row
+    # norm and its Frobenius norm, so a part can hold probe p's largest
+    # |eigenvalue| only if its Frobenius norm reaches the largest row norm of
+    # p's parts; the factor covers the rounding of both.  Where a probe's
+    # squares could underflow or overflow, every part is solved
+    rows = rows.reshape(2 * m, len(C), n0)
     low = rows.max(axis=(0, 2), initial=0.0)
     if not (low.min(initial=1.0) > 1e-280 and low.max(initial=1.0) < 1e280):
         low[~((low > 1e-280) & (low < 1e280))] = 0.0
     solve = ~(rows.sum(axis=2) * (1.0 + 4.0 * n0 * n0 * np.finfo(float).eps) < low)
+    # the parts to solve: read from the last block, or formed again for the
+    # members that hold one when any lies before it
+    mask = solve.reshape(2, m, len(C))
+    if H is not None and not mask[:, :blk.start].any():
+        H = H[mask[:, blk]]
+    else:
+        held = np.flatnonzero(mask.any(axis=(0, 2)))
+        H = parts(stack(held))[2][mask[:, held]]
     tops = np.zeros(solve.shape)
-    tops[solve] = np.abs(np.linalg.eigvalsh(H[solve])).max(axis=1, initial=0.0)
+    tops[solve] = np.abs(np.linalg.eigvalsh(H)).max(axis=1, initial=0.0)
     r1 = tops.max(axis=0, initial=0.0)
-    r2 = np.abs(Q).max(axis=(0, 2, 3), initial=0.0)
-    r3 = (AX.conj() * GAX).sum(axis=2).real.max(axis=(0, 2), initial=0.0)
-    r4 = ((G @ C.T) * C.T.conj()).sum(axis=1).real.max(axis=0, initial=0.0)
     scale = (1.0 + max(norms, default=0.0)) * (1.0 + np.linalg.norm(C @ alg._bmat.T, axis=1)) ** 2
     return np.column_stack([r1, r2, r3, r4, scale])
 

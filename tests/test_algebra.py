@@ -7,7 +7,7 @@ from qstarlab import (DEFAULT_TOL, ClosureViolation, DependentBasis,
                       MissingUnit, NotInA0, ParseError, QuasiAlgebraInstance,
                       ensure_valid, hermitian_parts, load_bundle,
                       module_product, validate_structure)
-from qstarlab.algebra import spectral_norm
+from qstarlab.algebra import blocks, spectral_norm
 from qstarlab.bundled import bundle_names
 from qstarlab.report import dumps
 
@@ -321,6 +321,24 @@ def test_pseudo_inverses_are_numpys_bit_for_bit():
         assert np.array_equal(inst._pinv_a0, np.linalg.pinv(inst._bmat_a0)), inst.label
         sv = np.linalg.svd(inst._bmat, compute_uv=False)
         assert np.allclose(inst._singular_values, sv, rtol=1e-13, atol=0.0), inst.label
+
+
+def test_right_mult_table_is_the_stacked_product_bit_for_bit():
+    # the table is formed in blocks of whole x_j; each block's GEMMs must give
+    # R0 the bits of the one stacked product, since skipped_products and the
+    # closure's zero and direction decisions ride on them
+    insts = [load_bundle(name)["instance"] for name in bundle_names()]
+    for n, count in ((4, 4), (6, 3), (8, 3)):
+        insts += [inst for inst, _ in make_corpus(count=count, seed=0xB10C + n, n_min=n, n_max=n)]
+    blocked = 0
+    for inst in insts:
+        B = np.stack(inst.basis)
+        X = B[list(inst.a0_indices)]
+        prods = (B[None] @ X[:, None]).reshape(len(X), inst.dim, -1).transpose(0, 2, 1)
+        R0, _ = inst.right_mult_table
+        assert R0.tobytes() == (inst._pinv @ prods).tobytes(), inst.label
+        blocked += len(blocks(len(X), B.nbytes)) > 1
+    assert blocked >= 3
 
 
 def test_spectral_norm_is_numpys_bit_for_bit():

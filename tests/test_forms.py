@@ -249,7 +249,7 @@ def test_twist_stability_twists_only_the_last_round(monkeypatch):
 
     def counting(R):
         twists = make(R)
-        return lambda G, floor: grams.append(G) or twists(G, floor)
+        return lambda G, floor, P=None: grams.append(G) or twists(G, floor, P)
     monkeypatch.setattr(forms, "_factor_twister", counting)
     b = load_bundle("m2_diag")
     fam, inst = b["families"]["good"], b["instance"]
@@ -485,7 +485,7 @@ def test_closure_stops_growing_at_its_fixed_point(monkeypatch):
 
     def counting(R):
         twists = make(R)
-        return lambda G, floor: calls.append(G) or twists(G, floor)
+        return lambda G, floor, P=None: calls.append(G) or twists(G, floor, P)
     monkeypatch.setattr(forms, "_factor_twister", counting)
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=3, seed=5)
@@ -528,10 +528,10 @@ def test_stability_check_forms_only_the_twists_not_certified_zero(monkeypatch):
     def counting(R):
         twists = make(R)
 
-        def formed(G, floor):
-            keep, factors, grams = twists(G, floor)
-            rows.append(len(grams))
-            return keep, factors, grams
+        def formed(G, floor, P=None):
+            kept = list(twists(G, floor, P))
+            rows.append(len(kept))
+            return kept
         return formed
     monkeypatch.setattr(forms, "_factor_twister", counting)
     rep = validate_family(fam, inst)
@@ -639,7 +639,10 @@ def test_kept_twists_are_their_factor_products_bit_for_bit():
         twists, rsq = _factor_twister(R), _squared_frobenius(R)
         ctx = fam.context(inst)
         for G, fac in zip(ctx.closure[1], ctx.factors, strict=True):
-            keep, factors, grams = twists(fac, 0.0)
+            kept = list(twists(fac, 0.0))
+            keep = np.array([j for j, _, _ in kept], dtype=int)
+            factors = [f for _, f, _ in kept]
+            grams = np.array([Gt for _, _, Gt in kept]).reshape(-1, inst.dim, inst.dim)
             P = (fac.F @ R)[keep]
             assert [f.F.tobytes() for f in factors] == [p.tobytes() for p in P]
             assert all(f.signs is fac.signs for f in factors)
@@ -803,6 +806,78 @@ def test_intake_lapack_calls_stay_bounded(monkeypatch):
         fn(fam, inst)
         assert set(counts) <= set(bound), (fn.__name__, counts)
         assert all(counts[k] <= bound[k] for k in counts), (fn.__name__, counts)
+
+
+def test_intake_stages_hold_at_most_a_mebibyte_of_temporaries():
+    # the working-set rule on an n = 8 pair (d = 50, n0 = 30): each stage's
+    # traced peak above its start, less what the stage keeps (the table, the
+    # closure and its directions), stays within 1 MiB.  Whole product stacks
+    # and their residual copies took 2.2 to 4.7 MB here.  radical's
+    # representation build is not walked in blocks, and is not held to it
+    import tracemalloc
+    from qstarlab import validate_structure
+
+    def stages(inst, fam):
+        return {"right products": lambda: inst.right_mult_table,
+                "structure": lambda: validate_structure(inst),
+                "closure": lambda: fam.forms(inst),
+                "family": lambda: validate_family(fam, inst),
+                "sufficiency": lambda: check_sufficiency(fam, inst)}
+    tracemalloc.start()
+    try:
+        # numpy's first calls allocate caches of their own
+        for run in stages(*make_corpus(count=1, seed=9, n_min=8, n_max=8)[0]).values():
+            run()
+        held = {}
+        for name, run in stages(*make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]).items():
+            tracemalloc.reset_peak()
+            kept = run()
+            now, peak = tracemalloc.get_traced_memory()
+            held[name] = peak - now
+            del kept
+    finally:
+        tracemalloc.stop()
+    assert all(v <= 1 << 20 for v in held.values()), held
+
+
+def test_closure_directions_are_the_normalized_member_grams():
+    # the closure keeps its stack of unit Grams with each one's squared
+    # Frobenius norm; both must be what a stack formed afresh gives, to the
+    # bit, so that every _classify decision keeps its bits
+    from qstarlab.forms import _unit_norms
+    pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    pairs += make_corpus(count=4, seed=8, n_min=4, n_max=8)
+    for inst, fam in pairs:
+        for balanced in (True, False):
+            ctx = FormFamily(fam.seeds, balanced, fam.twist_depth, fam.label).context(inst)
+            _, grams, norms = ctx.closure
+            units, kk = ctx.directions
+            ref = np.reshape([G / gn for G, gn in zip(grams, norms) if gn > 0], (-1, inst.dim, inst.dim))
+            assert units.tobytes() == ref.tobytes()
+            assert kk.tobytes() == _unit_norms(ref).tobytes()
+            K = ref.reshape(len(ref), -1).view(float)
+            assert kk.tobytes() == np.einsum("ij,ij->i", K, K).tobytes()
+            assert ctx.nonzero[1] is units
+
+
+def test_stability_check_reads_the_products_of_the_invariance_residual(monkeypatch):
+    # validate_family forms each untwisted member's products F R0 once, for
+    # its invariance residual, and hands them to its twists
+    from qstarlab import forms
+    make, handed = forms._factor_twister, []
+
+    def spying(R):
+        twists = make(R)
+
+        def spied(fac, floor, P=None):
+            handed.append(P is not None and P.tobytes() == (fac.F @ R).tobytes())
+            return twists(fac, floor, P)
+        return spied
+    inst, fam = make_corpus(count=1, seed=8, n_min=8, n_max=8)[0]
+    fam.context(inst).closure
+    monkeypatch.setattr(forms, "_factor_twister", spying)
+    validate_family(fam, inst)
+    assert len(handed) == len(fam.context(inst).untwisted) and all(handed)
 
 
 def test_hermitian_part_leaves_its_argument_alone():

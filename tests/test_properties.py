@@ -202,7 +202,9 @@ def test_twists_left_out_are_zero(seed, d, rank, indefinite, floor_exp, leak_exp
             R = R0 * 10.0 ** r_exp
             floor = 10.0 ** (twist_exp + floor_exp)
             fac = quotient_section(G, DEFAULT_TOL.rank).factor
-            keep, _, kept = _factor_twister(R)(fac, floor)
+            twisted = list(_factor_twister(R)(fac, floor))
+            keep = np.array([j for j, _, _ in twisted], dtype=int)
+            kept = np.array([Gt for _, _, Gt in twisted]).reshape(-1, d, d)
             full = _twisted_grams(G, R)
             FR = fac.F @ R
             formed = _hermitian_part(FR.conj().transpose(0, 2, 1) @ (fac.signs[:, None] * FR))
