@@ -432,8 +432,8 @@ def _invariance_worst(alg: QuasiAlgebraInstance, tol: ToleranceConfig):
         for kb in blocks(n0, 16 * d * (n0 + P.shape[1])):
             D = (Sh @ P[kb].conj().transpose(0, 2, 1)) @ Lh
             D -= (L[kb] @ P).transpose(1, 2, 0)
-            out = max(out, float(np.abs(D).max(initial=0.0)))
-        return out
+            out = np.maximum(out, np.abs(D).max(initial=0.0))
+        return float(out)
     return worst
 
 
@@ -837,7 +837,7 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
             P = fac.F @ R0
             if i in scales:
                 Lh = fac.signs[:, None] * fac.F[:, ix]
-                worst_inv = max(worst_inv, float(worst(Lh.conj().T, Lh, P) / scales[i]))
+                worst_inv = float(np.maximum(worst_inv, worst(Lh.conj().T, Lh, P) / scales[i]))
             if id(phi) in untwisted:
                 # the twists that are neither zero nor a direction of the closure
                 new += [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"

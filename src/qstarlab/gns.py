@@ -13,11 +13,12 @@ it on the Grams and sections its ``FamilyContext`` holds, and keeps the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, QuasiAlgebraInstance, spectral_norm
+from .algebra import Element, QuasiAlgebraInstance, _squared_moduli, blocks, spectral_norm
 from .errors import NotIps, ZeroForm
 from .forms import GRAM, IpsForm, _hermitian_part, _right_mults, gram_sections
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -98,14 +99,26 @@ def represent(phi: IpsForm, G, sections, alg: QuasiAlgebraInstance,
     ix = np.asarray(alg.a0_indices)
 
     # GR[k][:, i] pairs a_i x_k against the subalgebra basis; coords[k][:, i]
-    # are the coordinates of its class, and cols[i][:, k] regroups them
+    # are the coordinates of its class, and cols[i][:, k] regroups them.  GR
+    # and its residual are formed in blocks of whole x_k, as ``algebra`` does
     R0 = _right_mults(alg, tol)
-    GR = G[ix, :] @ R0
-    coords = sec.section.conj().T @ GR
-    res_lambda = float(np.linalg.norm(lam.conj().T @ coords - GR, axis=1).max(initial=0.0))
+    GX, secH = G[ix, :], sec.section.conj().T
+    coords = np.empty((len(ix), sec.w.size, alg.dim), dtype=complex)
+    sq_lambda = np.empty(len(ix))
+    for kb in blocks(len(ix), GX.nbytes):
+        GR = GX @ R0[kb]
+        np.matmul(secH, GR, out=coords[kb])
+        # each residual in its own buffer, its squared norms read from there
+        D = lam.conj().T @ coords[kb]
+        D -= GR
+        sq_lambda[kb] = _squared_moduli(D).sum(axis=1).max(axis=1, initial=0.0)
+        del GR, D
     cols = coords.transpose(2, 1, 0)
     rep_mats = cols @ sec.section
-    res_rep = float(np.linalg.norm(rep_mats @ lam - cols, axis=(1, 2)).max(initial=0.0))
+    D = rep_mats @ lam
+    D -= cols
+    res_lambda = math.sqrt(float(sq_lambda.max(initial=0.0)))
+    res_rep = math.sqrt(float(_squared_moduli(D).sum(axis=(1, 2)).max(initial=0.0)))
 
     unit0, ures = alg.a0_coeffs_of(alg.unit.matrix)
     if ures > tol.membership * max(1.0, float(np.linalg.norm(alg.unit.matrix))):

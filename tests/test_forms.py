@@ -812,17 +812,17 @@ def test_intake_stages_hold_at_most_a_mebibyte_of_temporaries():
     # the working-set rule on an n = 8 pair (d = 50, n0 = 30): each stage's
     # traced peak above its start, less what the stage keeps (the table, the
     # closure and its directions), stays within 1 MiB.  Whole product stacks
-    # and their residual copies took 2.2 to 4.7 MB here.  radical's
-    # representation build is not walked in blocks, and is not held to it
+    # and their residual copies took 2.2 to 4.7 MB here
     import tracemalloc
-    from qstarlab import validate_structure
+    from qstarlab import radical, validate_structure
 
     def stages(inst, fam):
         return {"right products": lambda: inst.right_mult_table,
                 "structure": lambda: validate_structure(inst),
                 "closure": lambda: fam.forms(inst),
                 "family": lambda: validate_family(fam, inst),
-                "sufficiency": lambda: check_sufficiency(fam, inst)}
+                "sufficiency": lambda: check_sufficiency(fam, inst),
+                "radical": lambda: radical(fam, inst)}
     tracemalloc.start()
     try:
         # numpy's first calls allocate caches of their own

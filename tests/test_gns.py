@@ -6,6 +6,8 @@ import pytest
 from corpus import make_corpus
 from qstarlab import (DEFAULT_TOL, IpsForm, NotIps, ZeroForm, build_gns, form_equal,
                       is_dense, load_bundle, reconstruction_defect, twist)
+from qstarlab.algebra import blocks
+from qstarlab.bundled import bundle_names
 from qstarlab.forms import quotient_section
 
 
@@ -177,6 +179,28 @@ def test_context_reps_match_build_gns():
                 assert np.array_equal(getattr(rep, key), getattr(ref, key)), key
             assert (rep.residual_lambda, rep.residual_rep) == \
                 (ref.residual_lambda, ref.residual_rep)
+
+
+def test_representation_is_the_stacked_product_bit_for_bit():
+    # represent forms the pairings G[ix, :] R0 in blocks of whole x_k; the
+    # coordinates and action matrices must keep the bits of the one stacked
+    # product, which the radical's kernels and every rep norm read
+    pairs = [(b["instance"], fam) for b in map(load_bundle, bundle_names())
+             for fam in b["families"].values()]
+    for n, count in ((4, 3), (6, 3), (8, 3)):
+        pairs += make_corpus(count=count, seed=0x6A5 + n, n_min=n, n_max=n)
+    blocked = 0
+    for inst, fam in pairs:
+        ctx = fam.context(inst)
+        if not ctx.dense_seeds:
+            continue
+        ix, R0 = np.asarray(inst.a0_indices), inst.right_mult_table[0]
+        secs = [sec for phi, (_, sec) in zip(ctx.seeds, ctx.sections) if phi in ctx.dense_seeds]
+        for rep, sec in zip(ctx.reps, secs, strict=True):
+            coords = sec.section.conj().T @ (rep.gram[ix, :] @ R0)
+            assert rep.rep_mats.tobytes() == (coords.transpose(2, 1, 0) @ sec.section).tobytes()
+            blocked += len(blocks(len(ix), rep.gram[ix, :].nbytes)) > 1
+    assert blocked >= 3
 
 
 def test_gns_command_reads_the_family_context(monkeypatch, capsys):
