@@ -41,19 +41,13 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value):
-    # json.loads also reads NaN and Infinity
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
 def _as_complex_entry(value, source, field_name):
-    """Accept a finite plain number or a finite [re, im] pair."""
-    if _is_finite_number(value):
-        return complex(value, 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        if _is_finite_number(re) and _is_finite_number(im):
-            return complex(re, im)
+    """Accept a finite plain number or a finite [re, im] pair; bool is an int
+    subclass, and json.loads also reads NaN and Infinity."""
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if (isinstance(re, (int, float)) and isinstance(im, (int, float)) and not isinstance(re, bool)
+            and not isinstance(im, bool) and math.isfinite(re) and math.isfinite(im)):
+        return complex(re, im)
     raise ParseError(source, f"expected finite number or [re, im] pair, got {value!r}", field=field_name)
 
 

@@ -268,7 +268,7 @@ def _cmd_lp(args, tol):
             "weight_ball_norm": hs["weight_ball_norm"],
         },
         "ascent_oracle": {"sup_estimate": oracle["sup_estimate"],
-                          "undershoots": oracle["sup_estimate"] <= hs["sup"] + 1e-9},
+                          "undershoots": oracle["sup_estimate"] <= hs["sup"] * (1.0 + 1e-9)},
         "mult_norm": norm,
     }
 
