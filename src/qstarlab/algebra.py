@@ -45,9 +45,12 @@ def _as_complex_entry(value, source, field_name):
     """Accept a finite plain number or a finite [re, im] pair; bool is an int
     subclass, and json.loads also reads NaN and Infinity."""
     re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
-    if (isinstance(re, (int, float)) and isinstance(im, (int, float)) and not isinstance(re, bool)
-            and not isinstance(im, bool) and math.isfinite(re) and math.isfinite(im)):
-        return complex(re, im)
+    try:  # math.isfinite raises on an int beyond the float range
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float)) and not isinstance(re, bool)
+                and not isinstance(im, bool) and math.isfinite(re) and math.isfinite(im)):
+            return complex(re, im)
+    except OverflowError:
+        pass
     raise ParseError(source, f"expected finite number or [re, im] pair, got {value!r}", field=field_name)
 
 

@@ -388,6 +388,14 @@ def test_non_finite_element_is_exit_2():
                             "--element", "[NaN,0,0,0]"), "[0]")
 
 
+def test_integer_beyond_the_float_range_is_exit_2():
+    big = str(10 ** 400)
+    _assert_parse_error(run("norm", "bundled:m2_diag", "--family", "good",
+                            "--element", f"[{big},0,0,0]"), "[0]")
+    _assert_parse_error(run("norm", "bundled:m2_diag", "--family", "good",
+                            "--element", f"[[1,{big}],0,0,0]"), "[0]")
+
+
 def test_analysis_error_is_exit_3():
     # the bad family never separates points, so the norm is undefined
     out = run("norm", "bundled:m2_diag", "--family", "bad", "--element", "e")
