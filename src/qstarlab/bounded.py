@@ -78,7 +78,7 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
                     full.wmax * max(a.norm_frobenius(), 1.0) * 1e-8, 1e-300)
         K = (Q - Q.conj().T) / 2.0
         herm_res = spectral_norm(K) / scale
-        H = (Q + Q.conj().T) / 2.0
+        H = _hermitian_part(Q)
         w, V = np.linalg.eigh(H)
         min_eig = float(w.min()) if w.size else 0.0
         rel = min_eig / scale
@@ -90,7 +90,7 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
         if not ok and report.witness_coeffs is None:
             if herm_res > tol.psd:
                 Kh = K / 1j
-                wk, Vk = np.linalg.eigh((Kh + Kh.conj().T) / 2.0)
+                wk, Vk = np.linalg.eigh(_hermitian_part(Kh))
                 pick = int(np.argmax(np.abs(wk)))
                 x0 = Vk[:, pick]
             else:
@@ -325,7 +325,7 @@ def weak_products(A, B, family: FormFamily, alg: QuasiAlgebraInstance,
     rows = BX.reshape(len(BX), alg.a0_dim * alg.dim)
     _, first, inv = np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
                               return_index=True, return_inverse=True)
-    labels, units = ctx.nonzero
+    labels, units = ctx.closure.labels, ctx.closure.units
     BXU = np.stack([BX[first] @ u.T for u in units], axis=1)
     ASh, step = AS.conj().transpose(0, 2, 1), max(1, 2 ** 13 // M.shape[0])
     c, resid = np.empty((alg.dim, len(AS)), dtype=complex), np.empty((2, len(AS)))
@@ -445,7 +445,7 @@ def radical(family: FormFamily, alg: QuasiAlgebraInstance,
     N1 = V[:, mask]
 
     # PSD kernels intersect exactly where the stacked square roots vanish
-    N2 = _null_basis(ctx.nonzero[1].reshape(-1, alg.dim), np.sqrt(tol.rank))
+    N2 = _null_basis(ctx.closure.units.reshape(-1, alg.dim), np.sqrt(tol.rank))
 
     report = RadicalReport(dim=int(N1.shape[1]),
                            basis_coeffs=[N1[:, k] for k in range(N1.shape[1])])

@@ -98,11 +98,11 @@ class IpsForm:
         """The d x d matrix G with phi(a, b) = b^H G a over the basis."""
         G = S = self._payload_for(alg)
         if self.kind == VECTOR_STATE:
-            w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
+            w, V = np.linalg.eigh(_hermitian_part(S))
             root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
             P = (np.stack(alg.basis) @ root).reshape(alg.dim, -1).T
             G = P.conj().T @ P
-        G = (G + G.conj().T) / 2.0
+        G = _hermitian_part(G)
         G.setflags(write=False)
         return G
 
@@ -152,8 +152,10 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
 
 
 def _unit_norms(units):
-    """|K|_F^2 of each unit K of a stack, as ``_classify`` reads them: a stack
-    gives each unit the bits it would give it alone."""
+    """|K|_F^2 of each matrix K of a stack, from its real and imaginary parts,
+    as ``_classify`` reads them: a stack gives each matrix the bits it would
+    give it alone.  A factor's squared entries are at its Gram's own scale, so
+    they underflow or overflow only where the Gram does."""
     K = units.reshape(len(units), math.prod(units.shape[1:])).view(float)
     return np.einsum("ij,ij->i", K, K)
 
@@ -215,14 +217,6 @@ def _twisted_grams(G, R):
     return _hermitian_part(R.conj().swapaxes(-1, -2) @ G @ R)
 
 
-def _squared_frobenius(M):
-    """|M_k|_F^2 for each matrix M_k of a stack, from its real and imaginary
-    parts.  A factor's squared entries are at its Gram's own scale, so they
-    underflow or overflow only where the Gram does."""
-    P = M.reshape(len(M), math.prod(M.shape[1:])).view(float)
-    return np.einsum("ij,ij->i", P, P)
-
-
 class GramFactor:
     """A Hermitian Gram as F^H diag(signs) F, F of shape (r, d), up to a part
     of spectral norm at most ``dropped``."""
@@ -251,11 +245,11 @@ def _factor_twister(R):
     of order d eps |G|_2 |R|_F^2 and not covered.  It needs no positivity of G."""
     d = R.shape[-1]
     slack = 1.0 + 4.0 * d * d * np.finfo(float).eps
-    rsq = _squared_frobenius(R)
+    rsq = _unit_norms(R)
 
     def twists(factor, floor, P=None):
         P = factor.F @ R if P is None else P
-        keep = np.flatnonzero(~(_squared_frobenius(P) + factor.dropped * rsq <= floor / slack))
+        keep = np.flatnonzero(~(_unit_norms(P) + factor.dropped * rsq <= floor / slack))
         for blk in blocks(len(keep), 32 * d * d):
             js = keep[blk]
             Pk = P[js]
@@ -369,7 +363,7 @@ def _hermitian_part(T):
 def quotient_section(M, rank_tol: float, scale=None) -> QuotientSection:
     """Split a positive matrix into its essential range and null directions,
     cutting at ``rank_tol`` times ``scale`` (default: M's top |eigenvalue|)."""
-    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    w, V = np.linalg.eigh(_hermitian_part(M))
     wmax = float(np.abs(w).max(initial=0.0))
     keep = w > rank_tol * max(wmax if scale is None else scale, 1e-300)
     return QuotientSection(w[keep], V[:, keep], V[:, keep] @ np.diag(1.0 / np.sqrt(w[keep])),
@@ -533,7 +527,7 @@ class FormFamily:
 
     def forms(self, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL):
         """The effective form list under the closure policy."""
-        return self.context(alg, tol).closure[0]
+        return self.context(alg, tol).closure.members
 
     def dense_forms(self, alg: QuasiAlgebraInstance, tol: ToleranceConfig = DEFAULT_TOL):
         """Seeds whose quotient admits a representation (density holds)."""
@@ -577,6 +571,27 @@ class FormFamily:
                 f"label={self.label!r})")
 
 
+class Closure:
+    """A family's effective members with their Grams, spectral norms and, for
+    a balanced family, the ``GramFactor`` each one's twists start from; an
+    unbalanced family twists nothing and has none.  ``members[:derived]`` are
+    the seeds the closure kept, in seed order, and the rest are twists;
+    ``members[untwisted:]`` are those that building never twisted: the last
+    round's additions, or every member at depth 0.  An unbalanced family has
+    both ranges at its seed count.  ``labels``, ``units`` and ``kk`` are the
+    nonzero members' labels, their Grams normalized to unit spectral norm,
+    stacked, and ``_unit_norms`` of those: the directions a balanced closure
+    is built on."""
+
+    __slots__ = ("members", "grams", "norms", "factors", "derived", "untwisted", "labels",
+                 "units", "kk")
+
+    def __init__(self, members, grams, norms, factors, derived, untwisted, units, kk):
+        self.members, self.grams, self.norms, self.factors = members, grams, norms, factors
+        self.derived, self.untwisted, self.units, self.kk = derived, untwisted, units, kk
+        self.labels = [m.label for m, gn in zip(members, norms) if gn > 0]
+
+
 class FamilyContext:
     """What one family induces on one instance at one set of tolerances,
     each entry computed on first use.  It holds the seeds but not the
@@ -594,26 +609,6 @@ class FamilyContext:
         return tuple(phi.gram(self.alg) for phi in self.seeds)
 
     @cached_property
-    def closure(self):
-        """(members, Gram matrices, spectral norms) of the effective family."""
-        return self._grown[:3]
-
-    @cached_property
-    def factors(self):
-        """Per closure member of a balanced family, the ``GramFactor`` that its
-        twists start from; an unbalanced family twists nothing and has none."""
-        return self._grown[3]
-
-    @cached_property
-    def untwisted(self):
-        """(member, factor) for the members of a balanced closure that building
-        it never twisted: the last round's additions, or every member at depth
-        0.  Every other member's twists were pushed and found in the closure
-        or zero."""
-        members, start = self.closure[0], self._grown[4]
-        return tuple(zip(members[start:], self.factors[start:]))
-
-    @cached_property
     def scale(self):
         """The largest seed |G|_2: the closure calls a twist zero below 1e-14
         times it and the stability check below 1e-12 times it, so scaling
@@ -622,11 +617,13 @@ class FamilyContext:
         return max((full.wmax for full, _ in self.sections), default=0.0)
 
     @cached_property
-    def _grown(self):
-        """``closure``, ``factors``, where the untwisted members start, and for
-        a balanced family its ``directions``, which the closure is built on."""
+    def closure(self) -> "Closure":
+        """The effective family: the seeds, or for a balanced family their
+        closure under basis twists, built on its own directions."""
         if not self.balanced:
-            return self.seeds, self.seed_grams, tuple(full.wmax for full, _ in self.sections), (), 0, None
+            d, n, norms = self.alg.dim, len(self.seeds), tuple(full.wmax for full, _ in self.sections)
+            units = np.reshape([G / gn for G, gn in zip(self.seed_grams, norms) if gn > 0], (-1, d, d))
+            return Closure(self.seeds, self.seed_grams, norms, (), n, n, units, _unit_norms(units))
         seeded = tuple(zip(self.seeds, self.seed_grams, (full.factor for full, _ in self.sections)))
         R = _right_mults(self.alg, self.tol)
         twists, ix = _factor_twister(R), self.alg.a0_indices
@@ -650,7 +647,7 @@ class FamilyContext:
             if fresh(member[1]):
                 record(member[1])
                 kept.append(member)
-        frontier = seeded
+        derived, frontier = len(kept), seeded
         for _ in range(self.depth):
             if not frontier:
                 # a round that added nothing leaves nothing to twist
@@ -667,32 +664,13 @@ class FamilyContext:
             frontier = tuple((tw, tw.payload, fac) for tw, fac in new)
             kept += frontier
         members, grams, factors = (tuple(col) for col in zip(*kept)) if kept else ((), (), ())
-        return members, grams, tuple(norms), factors, \
-            len(kept) - len(frontier) if self.depth > 0 else 0, (units, kk)
-
-    @cached_property
-    def nonzero(self):
-        """Labels and stacked normalized Gram matrices of the nonzero members."""
-        members, grams, norms = self.closure
-        keep = [i for i, gn in enumerate(norms) if gn > 0]
-        return [members[i].label for i in keep], self.directions[0]
-
-    @cached_property
-    def directions(self):
-        """``(units, kk)``: the nonzero members' Grams normalized to unit
-        spectral norm, stacked, and ``_unit_norms`` of them."""
-        if self._grown[5] is not None:
-            # a balanced closure keeps exactly its nonzero members, each as G / |G|_2
-            return self._grown[5]
-        _, grams, norms = self.closure
-        d = self.alg.dim
-        units = np.reshape([G / gn for G, gn in zip(grams, norms) if gn > 0], (-1, d, d))
-        return units, _unit_norms(units)
+        untwisted = len(kept) - len(frontier) if self.depth > 0 else 0
+        return Closure(members, grams, tuple(norms), factors, derived, untwisted, units, kk)
 
     @cached_property
     def gram_sum(self):
         """Eigenpairs of the summed normalized Grams, and its null mask."""
-        w, V = np.linalg.eigh(_hermitian_part(self.nonzero[1].sum(axis=0)))
+        w, V = np.linalg.eigh(_hermitian_part(self.closure.units.sum(axis=0)))
         wmax = float(np.abs(w).max(initial=0.0))
         return w, V, w <= self.tol.rank * max(wmax, 1e-300)
 
@@ -715,7 +693,7 @@ class FamilyContext:
         if nf > 0:
             witness = witness * (1.0 / nf)
         return dim_null, margin, (witness.coeffs, {phi.label: float(phi.eval(witness, witness).real)
-                                                   for phi in self.closure[0]})
+                                                   for phi in self.closure.members})
 
     @cached_property
     def sections(self):
@@ -725,7 +703,7 @@ class FamilyContext:
     @cached_property
     def member_sections(self):
         """Per closure member, the quotient section of its whole Gram matrix."""
-        return tuple(quotient_section(G, self.tol.rank) for G in self.closure[1])
+        return tuple(quotient_section(G, self.tol.rank) for G in self.closure.grams)
 
     @cached_property
     def dense_seeds(self):
@@ -756,7 +734,7 @@ class FamilyContext:
         """``(M, Uh, s, Vh)``: row (member, j, k) of M holds phi(a_i.x_j, x_k)
         / |phi| over i for the nonzero members, with M's thin SVD U s Vh
         and U kept as its adjoint Uh, the factor every solve applies."""
-        units = self.nonzero[1]
+        units = self.closure.units
         R0 = _right_mults(self.alg, self.tol)
         ix = np.asarray(self.alg.a0_indices)
         M = (units[:, None, ix, :] @ R0[None]).reshape(-1, self.alg.dim)
@@ -804,11 +782,10 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if not family.seeds:
         raise EmptyFamily("family has no generators")
     ctx = family.context(alg, tol)
-    members, grams, _ = ctx.closure
-    seed_ids = {id(s) for s in family.seeds}
-    derived = [i for i, phi in enumerate(members) if id(phi) not in seed_ids]
+    closure = ctx.closure
+    members, factors, derived, untwisted = closure.members, closure.factors, closure.derived, closure.untwisted
     herm_res, wmin, wmax = _psd_margins(
-        np.array([grams[i] for i in derived], dtype=complex).reshape(-1, alg.dim, alg.dim))
+        np.array(closure.grams[derived:], dtype=complex).reshape(-1, alg.dim, alg.dim))
     worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
 
     # one member at a time, the products P = F R0 of each derived or untwisted
@@ -826,23 +803,19 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     report.checks.append(CheckResult(
         "closure-positivity", worst_pos <= tol.psd, {"worst_relative_defect": worst_pos}))
 
-    worst_inv, new = 0.0, []
-    if family.balanced:
-        scales = dict(zip(derived, inv_scale[n:]))
-        untwisted = {id(phi) for phi, _ in ctx.untwisted}
-        floor, (units, kk) = 1e-12 * ctx.scale, ctx.directions
-        for i, (phi, fac) in enumerate(zip(members, ctx.factors)):
-            if i not in scales and id(phi) not in untwisted:
-                continue
-            P = fac.F @ R0
-            if i in scales:
-                Lh = fac.signs[:, None] * fac.F[:, ix]
-                worst_inv = float(np.maximum(worst_inv, worst(Lh.conj().T, Lh, P) / scales[i]))
-            if id(phi) in untwisted:
-                # the twists that are neither zero nor a direction of the closure
-                new += [f"{phi.label} twisted by basis index {alg.a0_indices[j]}"
-                        for j, _, Gt in twists(fac, floor, P)
-                        if _classify(Gt, units, floor, tol, kk) == "new"]
+    # an unbalanced family has no factors, so nothing below runs for it
+    worst_inv, new, floor = 0.0, [], 1e-12 * ctx.scale
+    for i in range(min(derived, untwisted), len(factors)):
+        fac = factors[i]
+        P = fac.F @ R0
+        if i >= derived:
+            Lh = fac.signs[:, None] * fac.F[:, ix]
+            worst_inv = float(np.maximum(worst_inv, worst(Lh.conj().T, Lh, P) / inv_scale[n + i - derived]))
+        if i >= untwisted:
+            # the twists that are neither zero nor a direction of the closure
+            new += [f"{members[i].label} twisted by basis index {alg.a0_indices[j]}"
+                    for j, _, Gt in twists(fac, floor, P)
+                    if _classify(Gt, closure.units, floor, tol, closure.kk) == "new"]
     report.checks.append(CheckResult(
         "closure-invariance", worst_inv <= tol.form, {"worst_relative_residual": worst_inv}))
     if family.balanced:
@@ -905,7 +878,8 @@ def _degeneracy_rows(C, family: FormFamily, alg: QuasiAlgebraInstance, tol: Tole
     [r1, r2, r3, r4, scale] of one array.  r1 is the spectral norm of the
     Hermitian (Q + Q^H)/2 and of (Q - Q^H)/2i, read as their largest
     |eigenvalue|, solved only for the parts that could hold it."""
-    _, grams, norms = family.context(alg, tol).closure
+    closure = family.context(alg, tol).closure
+    grams, norms = closure.grams, closure.norms
     R0 = _right_mults(alg, tol)
     ix = np.asarray(alg.a0_indices)
     m, n0 = len(grams), len(ix)

@@ -48,7 +48,7 @@ class BoundedFormSet:
     def from_family(cls, family: FormFamily, alg: QuasiAlgebraInstance,
                     tol: ToleranceConfig = DEFAULT_TOL):
         # an empty closure reaches the constructor's EmptyFamily check
-        return cls(family.context(alg, tol).closure[1], label=family.label)
+        return cls(family.context(alg, tol).closure.grams, label=family.label)
 
     def __len__(self):
         return len(self.grams)
@@ -125,7 +125,7 @@ def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
     slack = tol.psd * max(1.0, spectral_norm(R) ** 2)
     ctx = family.context(alg, tol)
     worst = 0.0
-    for G, sec in zip(ctx.closure[1], ctx.member_sections):
+    for G, sec in zip(ctx.closure.grams, ctx.member_sections):
         if sec.wmax == 0.0:
             continue
         L = _hermitian_part(R.conj().T @ G @ R)

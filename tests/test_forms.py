@@ -254,8 +254,7 @@ def test_twist_stability_twists_only_the_last_round(monkeypatch):
     b = load_bundle("m2_diag")
     fam, inst = b["families"]["good"], b["instance"]
     rep = validate_family(fam, inst)
-    members, member_grams, _ = fam.context(inst).closure
-    member_factors = fam.context(inst).factors
+    members, member_factors = fam.context(inst).closure.members, fam.context(inst).closure.factors
     assert len(members) == 2
     assert len(grams) == 2
     assert grams[0] is member_factors[0] and grams[1] is member_factors[1]
@@ -494,7 +493,7 @@ def test_closure_stops_growing_at_its_fixed_point(monkeypatch):
         for depth in (3, 10 ** 9):
             calls.clear()
             ctx = FormFamily(fam.seeds, True, depth, fam.label).context(inst)
-            members, grams, _ = ctx.closure
+            members, grams = ctx.closure.members, ctx.closure.grams
             rounds = len(calls)
             rep = validate_family(FormFamily(fam.seeds, True, depth, fam.label), inst).as_dict()
             del rep["twist_depth"]
@@ -536,13 +535,13 @@ def test_stability_check_forms_only_the_twists_not_certified_zero(monkeypatch):
     monkeypatch.setattr(forms, "_factor_twister", counting)
     rep = validate_family(fam, inst)
     assert next(c for c in rep.checks if c.name == "twist-stability").passed
-    assert len(rows) == len(ctx.untwisted)
+    assert len(rows) == len(ctx.closure.members) - ctx.closure.untwisted
     assert sum(rows) <= 37
 
 
 def _svd_degeneracy_residuals(a, fam, alg):
     """The one-probe residuals as spectral norms of the pairing matrix parts."""
-    _, grams, norms = fam.context(alg).closure
+    grams, norms = fam.context(alg).closure.grams, fam.context(alg).closure.norms
     G = np.array(grams, dtype=complex).reshape(-1, alg.dim, alg.dim)
     R0, _ = alg.right_mult_table
     AX = (R0 @ a.coeffs).T
@@ -596,7 +595,7 @@ def test_invariance_residuals_match_the_batched_products_bit_for_bit():
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=6, seed=3) + make_corpus(count=2, seed=8, n_min=8, n_max=8)
     for inst, fam in pairs:
-        grams = fam.context(inst).closure[1]
+        grams = fam.context(inst).closure.grams
         R0, (S, _) = _right_mults(inst, DEFAULT_TOL), inst.star_matrix()
         ix = np.asarray(inst.a0_indices)
         P = S.conj().T @ R0.conj().transpose(0, 2, 1)
@@ -628,17 +627,17 @@ def test_kept_twists_are_their_factor_products_bit_for_bit():
     # certificate took, carrying the part F leaves out twisted along; the
     # Gram it is decided on is the Hermitian part of P^H diag(signs) P to the
     # bit, and is R[j]^H G R[j] up to the rounding of G's scale
-    from qstarlab.forms import (_factor_twister, _hermitian_part, _right_mults, _squared_frobenius,
-                                _twisted_grams)
+    from qstarlab.forms import (_factor_twister, _hermitian_part, _right_mults, _twisted_grams,
+                                _unit_norms)
     pairs = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
     pairs += make_corpus(count=4, seed=8, n_min=4, n_max=8)
     formed = 0
     for inst, fam in pairs:
         fam = FormFamily(fam.seeds, True, fam.twist_depth, fam.label)
         R = _right_mults(inst, DEFAULT_TOL)
-        twists, rsq = _factor_twister(R), _squared_frobenius(R)
+        twists, rsq = _factor_twister(R), _unit_norms(R)
         ctx = fam.context(inst)
-        for G, fac in zip(ctx.closure[1], ctx.factors, strict=True):
+        for G, fac in zip(ctx.closure.grams, ctx.closure.factors, strict=True):
             kept = list(twists(fac, 0.0))
             keep = np.array([j for j, _, _ in kept], dtype=int)
             factors = [f for _, f, _ in kept]
@@ -714,13 +713,13 @@ def test_closure_from_factors_matches_the_twisted_gram_reference():
     for inst, fam in cases:
         labels, grams, norms, untwisted = _reference_closure(fam, inst)
         ctx = fam.context(inst)
-        members, got_grams, got_norms = ctx.closure
+        members, got_grams, got_norms = ctx.closure.members, ctx.closure.grams, ctx.closure.norms
         assert [m.label for m in members] == labels
-        assert [m.label for m, _ in ctx.untwisted] == untwisted
+        assert [m.label for m in members[ctx.closure.untwisted:]] == untwisted
         for G, ref in zip(got_grams, grams, strict=True):
             assert G.tobytes() == ref.tobytes()
         assert list(got_norms) == norms
-        assert len(ctx.factors) == len(members)
+        assert len(ctx.closure.factors) == len(members)
         derived += len(members) - len(fam.seeds)
     assert derived > 100
 
@@ -730,12 +729,12 @@ def test_indefinite_seed_twists_through_its_signed_factor():
     # so the factor reproduces the Gram, and the closure's twists carry the sign
     inst, fam = _indefinite_gram_family(1)
     ctx = fam.context(inst)
-    G, fac = ctx.seed_grams[0], ctx.factors[0]
+    G, fac = ctx.seed_grams[0], ctx.closure.factors[0]
     assert (fac.signs < 0).any() and (fac.signs > 0).any()
     recon = fac.F.conj().T @ (fac.signs[:, None] * fac.F)
     assert np.abs(recon - G).max() <= 1e-14 * np.linalg.norm(G, 2)
-    assert len(ctx.closure[0]) > 1
-    assert min(np.linalg.eigvalsh(G).min() for G in ctx.closure[1]) < 0
+    assert len(ctx.closure.members) > 1
+    assert min(np.linalg.eigvalsh(G).min() for G in ctx.closure.grams) < 0
 
 
 def test_r1_reads_only_the_parts_that_could_hold_the_maximum():
@@ -763,7 +762,7 @@ def test_r1_reads_only_the_parts_that_could_hold_the_maximum():
         if rep.witness_coeffs is not None:
             probes.append(inst.element(rep.witness_coeffs))
         C = np.array([p.coeffs for p in probes])
-        _, grams, _ = fam.context(inst).closure
+        grams = fam.context(inst).closure.grams
         G = np.array(grams, dtype=complex).reshape(-1, inst.dim, inst.dim)
         AX = (_right_mults(inst, DEFAULT_TOL) @ C.T).transpose(2, 1, 0)
         Q = (G[:, None] @ AX)[:, :, list(inst.a0_indices), :]
@@ -850,14 +849,14 @@ def test_closure_directions_are_the_normalized_member_grams():
     for inst, fam in pairs:
         for balanced in (True, False):
             ctx = FormFamily(fam.seeds, balanced, fam.twist_depth, fam.label).context(inst)
-            _, grams, norms = ctx.closure
-            units, kk = ctx.directions
+            grams, norms = ctx.closure.grams, ctx.closure.norms
+            units, kk = ctx.closure.units, ctx.closure.kk
             ref = np.reshape([G / gn for G, gn in zip(grams, norms) if gn > 0], (-1, inst.dim, inst.dim))
             assert units.tobytes() == ref.tobytes()
             assert kk.tobytes() == _unit_norms(ref).tobytes()
             K = ref.reshape(len(ref), -1).view(float)
             assert kk.tobytes() == np.einsum("ij,ij->i", K, K).tobytes()
-            assert ctx.nonzero[1] is units
+            assert ctx.closure.units is units
 
 
 def test_stability_check_reads_the_products_of_the_invariance_residual(monkeypatch):
@@ -877,7 +876,8 @@ def test_stability_check_reads_the_products_of_the_invariance_residual(monkeypat
     fam.context(inst).closure
     monkeypatch.setattr(forms, "_factor_twister", spying)
     validate_family(fam, inst)
-    assert len(handed) == len(fam.context(inst).untwisted) and all(handed)
+    closure = fam.context(inst).closure
+    assert len(handed) == len(closure.members) - closure.untwisted and all(handed)
 
 
 def test_hermitian_part_leaves_its_argument_alone():

@@ -182,7 +182,7 @@ def _weak_products_per_pair(A, B, family, alg, tol=DEFAULT_TOL):
     R0 = _right_mults(alg, tol)
     AS, BX = ((R0 @ np.ldexp(Y, -ky[:, None]).view(complex).T).transpose(2, 0, 1)
               for Y, ky in zip(parts, k))
-    labels, units = ctx.nonzero
+    labels, units = ctx.closure.labels, ctx.closure.units
     ASh, step = AS.conj().transpose(0, 2, 1), max(1, 2 ** 13 // M.shape[0])
     c, resid = np.empty((alg.dim, len(BX)), dtype=complex), np.empty((2, len(BX)))
     for sl in (slice(lo, lo + step) for lo in range(0, len(BX), step)):
