@@ -332,11 +332,12 @@ def spectral_norm(M) -> float:
 
 
 def hermitian_mask(mats):
-    """Whether each matrix of a stack is Hermitian to 1e-10 relative to its norm.  At
-    absolute noise level it is: cancellation can leave a skew residue of order eps."""
-    nrm = np.linalg.norm(mats, axis=(1, 2))
-    skew = np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2))
-    return (nrm <= 1e-12) | (skew <= 1e-10 * nrm)
+    """Whether each matrix of a stack is Hermitian to 1e-10 relative to its norm, decided
+    on it scaled to unit largest part as by ``scaled_rows``, so that no norm underflows or
+    overflows.  A zero matrix is Hermitian, and one holding a NaN is not."""
+    X = scaled_rows(np.reshape(mats, (len(mats), -1)))[0].reshape(np.shape(mats))
+    skew = np.linalg.norm(X - X.conj().transpose(0, 2, 1), axis=(1, 2))
+    return skew <= 1e-10 * np.linalg.norm(X, axis=(1, 2))
 
 
 class Element:

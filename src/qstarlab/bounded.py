@@ -78,8 +78,7 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
                     full.wmax * max(a.norm_frobenius(), 1.0) * 1e-8, 1e-300)
         K = (Q - Q.conj().T) / 2.0
         herm_res = spectral_norm(K) / scale
-        H = _hermitian_part(Q)
-        w, V = np.linalg.eigh(H)
+        w, V = np.linalg.eigh(_hermitian_part(Q))
         min_eig = float(w.min()) if w.size else 0.0
         rel = min_eig / scale
         ok = herm_res <= tol.psd and rel >= -tol.psd
@@ -89,8 +88,7 @@ def cone_membership(a: Element, family: FormFamily, alg: QuasiAlgebraInstance,
         })
         if not ok and report.witness_coeffs is None:
             if herm_res > tol.psd:
-                Kh = K / 1j
-                wk, Vk = np.linalg.eigh(_hermitian_part(Kh))
+                wk, Vk = np.linalg.eigh(_hermitian_part(K / 1j))
                 pick = int(np.argmax(np.abs(wk)))
                 x0 = Vk[:, pick]
             else:

@@ -42,7 +42,10 @@ residual and its twists, one member at a time.
 
 Forms and families are immutable.  A family keeps one ``FamilyContext``
 for the instance and tolerances it was last queried with, and rebuilds it
-when either changes; nothing needs clearing by hand.
+when either changes; nothing needs clearing by hand.  Its ``Closure``
+record holds the members with their Grams, norms and factors; validation
+checks the twists, from ``derived`` on, for invariance, and the members
+never twisted, from ``untwisted`` on, for twist stability.
 """
 
 from __future__ import annotations
@@ -152,10 +155,9 @@ def form_proportional(phi: IpsForm, psi: IpsForm, alg: QuasiAlgebraInstance,
 
 
 def _unit_norms(units):
-    """|K|_F^2 of each matrix K of a stack, from its real and imaginary parts,
-    as ``_classify`` reads them: a stack gives each matrix the bits it would
-    give it alone.  A factor's squared entries are at its Gram's own scale, so
-    they underflow or overflow only where the Gram does."""
+    """|K|_F^2 of each matrix K of a stack from its real and imaginary parts, as
+    ``_classify`` reads them, each with the bits it would get alone.  A factor's
+    squares are at its Gram's scale, so under- or overflow only where it does."""
     K = units.reshape(len(units), math.prod(units.shape[1:])).view(float)
     return np.einsum("ij,ij->i", K, K)
 
@@ -572,16 +574,12 @@ class FormFamily:
 
 
 class Closure:
-    """A family's effective members with their Grams, spectral norms and, for
-    a balanced family, the ``GramFactor`` each one's twists start from; an
-    unbalanced family twists nothing and has none.  ``members[:derived]`` are
-    the seeds the closure kept, in seed order, and the rest are twists;
-    ``members[untwisted:]`` are those that building never twisted: the last
-    round's additions, or every member at depth 0.  An unbalanced family has
-    both ranges at its seed count.  ``labels``, ``units`` and ``kk`` are the
-    nonzero members' labels, their Grams normalized to unit spectral norm,
-    stacked, and ``_unit_norms`` of those: the directions a balanced closure
-    is built on."""
+    """A family's effective members, their Grams, spectral norms and, if it is
+    balanced, the ``GramFactor``s their twists start from.  ``members[:derived]``
+    are the seeds it kept, in seed order, the rest twists; ``members[untwisted:]``
+    were never twisted: the last round's additions, or all at depth 0 (both
+    ranges are at the seed count when unbalanced).  ``labels``, ``units`` and
+    ``kk``: the nonzero members' labels, unit Grams stacked, and their ``_unit_norms``."""
 
     __slots__ = ("members", "grams", "norms", "factors", "derived", "untwisted", "labels",
                  "units", "kk")
@@ -630,10 +628,6 @@ class FamilyContext:
         norms, units, kk = [], np.empty((0, self.alg.dim, self.alg.dim), dtype=complex), np.empty(0)
         floor = 1e-14 * self.scale
 
-        def fresh(Gt):
-            """Whether Gt is nonzero and not yet a direction."""
-            return _classify(Gt, units, floor, self.tol, kk) == "new"
-
         def record(G):
             """Take the member Gram G as a direction, with its spectral norm."""
             nonlocal units, kk
@@ -644,7 +638,7 @@ class FamilyContext:
 
         kept = []
         for member in seeded:
-            if fresh(member[1]):
+            if _classify(member[1], units, floor, self.tol, kk) == "new":
                 record(member[1])
                 kept.append(member)
         derived, frontier = len(kept), seeded
@@ -657,7 +651,7 @@ class FamilyContext:
             new = []
             for phi, G, fac in frontier:
                 for j, twisted, Gt in twists(fac, floor):
-                    if fresh(Gt):
+                    if _classify(Gt, units, floor, self.tol, kk) == "new":
                         tw = IpsForm(GRAM, _twisted_grams(G, R[j]), label=f"{phi.label}^tw{ix[j]}")
                         record(tw.payload)
                         new.append((tw, twisted))
@@ -782,10 +776,9 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     if not family.seeds:
         raise EmptyFamily("family has no generators")
     ctx = family.context(alg, tol)
-    closure = ctx.closure
-    members, factors, derived, untwisted = closure.members, closure.factors, closure.derived, closure.untwisted
+    c = ctx.closure
     herm_res, wmin, wmax = _psd_margins(
-        np.array(closure.grams[derived:], dtype=complex).reshape(-1, alg.dim, alg.dim))
+        np.array(c.grams[c.derived:], dtype=complex).reshape(-1, alg.dim, alg.dim))
     worst_pos = float(np.max([herm_res, -wmin / np.maximum(wmax, 1e-300)], initial=0.0))
 
     # one member at a time, the products P = F R0 of each derived or untwisted
@@ -796,7 +789,7 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
     inv_scale = _invariance_scale(alg, [*(full.wmax for full, _ in ctx.sections), *wmax])
     inv_res = [worst(G[ix, :], G[:, ix], R0) for G in ctx.seed_grams]
     report = FamilyReport(label=family.label, balanced=family.balanced,
-                          twist_depth=family.twist_depth, closure_size=len(members),
+                          twist_depth=family.twist_depth, closure_size=len(c.members),
                           seed_reports=[_form_report(*args, tol, require_density=False)
                                         for args in zip(family.seeds, ctx.sections,
                                                         inv_res, inv_scale[:n])])
@@ -805,22 +798,22 @@ def validate_family(family: FormFamily, alg: QuasiAlgebraInstance,
 
     # an unbalanced family has no factors, so nothing below runs for it
     worst_inv, new, floor = 0.0, [], 1e-12 * ctx.scale
-    for i in range(min(derived, untwisted), len(factors)):
-        fac = factors[i]
+    for i in range(min(c.derived, c.untwisted), len(c.factors)):
+        fac = c.factors[i]
         P = fac.F @ R0
-        if i >= derived:
+        if i >= c.derived:
             Lh = fac.signs[:, None] * fac.F[:, ix]
-            worst_inv = float(np.maximum(worst_inv, worst(Lh.conj().T, Lh, P) / inv_scale[n + i - derived]))
-        if i >= untwisted:
+            worst_inv = float(np.maximum(worst_inv, worst(Lh.conj().T, Lh, P) / inv_scale[n + i - c.derived]))
+        if i >= c.untwisted:
             # the twists that are neither zero nor a direction of the closure
-            new += [f"{members[i].label} twisted by basis index {alg.a0_indices[j]}"
+            new += [f"{c.members[i].label} twisted by basis index {alg.a0_indices[j]}"
                     for j, _, Gt in twists(fac, floor, P)
-                    if _classify(Gt, closure.units, floor, tol, closure.kk) == "new"]
+                    if _classify(Gt, c.units, floor, tol, c.kk) == "new"]
     report.checks.append(CheckResult(
         "closure-invariance", worst_inv <= tol.form, {"worst_relative_residual": worst_inv}))
     if family.balanced:
         report.checks.append(CheckResult(
-            "twist-stability", not new, {"closure_size": len(members)},
+            "twist-stability", not new, {"closure_size": len(c.members)},
             note=new[-1] if new else "closure reproduces itself under basis twists"))
     return report
 

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import Element, QuasiAlgebraInstance, scaled_rows, spectral_norm
 from .bounded import check_condition_product, extract_bounded_algebra, m_bounded_values
 from .errors import EmptyFamily, NotIps, NotSufficient
-from .forms import FormFamily, _hermitian_part, _right_mult_of, _right_mults, _twisted_grams
+from .forms import FormFamily, _right_mult_of, _right_mults, _twisted_grams
 from .report import CheckResult, all_passed, pairs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -128,7 +128,7 @@ def left_mult_bound(family: FormFamily, x: Element, alg: QuasiAlgebraInstance,
     for G, sec in zip(ctx.closure.grams, ctx.member_sections):
         if sec.wmax == 0.0:
             continue
-        L = _hermitian_part(R.conj().T @ G @ R)
+        L = _twisted_grams(G, R)
         if sec.leak(L) > slack * sec.wmax:
             return float("inf")
         worst = max(worst, float(sec.gain(L)))
@@ -199,6 +199,14 @@ class GaStarReport:
         }
 
 
+def _relative_excess(value, bound, floor=0.0) -> float:
+    """The largest (value - bound) / max(bound, floor), at least 0: with no floor a
+    zero bound requires a zero value, and reads inf otherwise; a NaN reads NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (value - bound) / np.maximum(bound, floor)
+    return float(np.max(np.where((value == 0.0) & (bound == 0.0), 0.0, gap), initial=0.0))
+
+
 def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
                   tol: ToleranceConfig = DEFAULT_TOL, probes=None) -> GaStarReport:
     """Qualify the pair (instance, family) and exercise what follows.
@@ -208,7 +216,9 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     representable; completeness, which finite-dimensional coordinate
     spaces provide outright.  When all hold, the report also verifies the
     pairing bound against star seminorms, the vector bound for twisted
-    sets, and the normed-algebra laws of the bounded part.
+    sets, and the normed-algebra laws of the bounded part.  The first two read
+    each excess relative to its own bound: a zero star bound requires a zero
+    pairing, and a zero twisted-set bound a vector within rounding of zero.
     """
     report = GaStarReport(label=family.label, verdict=False)
     if probes is None:
@@ -270,7 +280,7 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
     bound = np.outer(ps, ps)
     pairing = np.abs(Z.conj() @ F.grams @ Z.T).max(axis=0, initial=0.0)
     pairing[bad] = pairing[:, bad] = np.nan
-    worst_pair = float(np.max((pairing - bound) / np.maximum(bound, 1.0), initial=0.0))
+    worst_pair = _relative_excess(pairing, bound)
     report.consequences.append(CheckResult(
         "pairing-bounded-by-star-seminorms", worst_pair <= 1e-8,
         {"worst_relative_excess": worst_pair}))
@@ -286,7 +296,10 @@ def ga_star_check(family: FormFamily, alg: QuasiAlgebraInstance,
                            for Y in (Z, alg.adjoints(Z))))
         lhs[bad] = np.nan
         rhs = seminorms(BoundedFormSet(Gx), alg, P, "star")
-        excess.append(float(((lhs - rhs) / np.maximum(rhs, 1.0)).max(initial=0.0)))
+        # where the twisted seed vanishes both sides are rounding of d basis products,
+        # d eps times the check's largest value: a smaller bound reads as that / 1e-8
+        floor = alg.dim * np.finfo(float).eps / 1e-8 * np.max([lhs.max(initial=0.0), rhs.max(initial=0.0)])
+        excess.append(_relative_excess(lhs, rhs, floor))
     worst_vec = float(np.max(excess))
     report.consequences.append(CheckResult(
         "vector-bound-for-twisted-sets", worst_vec <= 1e-8,

@@ -246,6 +246,16 @@ def test_hermitian_parts_reconstruct(m2):
     assert np.allclose(recon.coeffs, a.coeffs)
 
 
+def test_is_hermitian_holds_at_every_element_scale(m2):
+    # decided on each matrix scaled to unit largest part: E01 is never
+    # Hermitian and E11 always is, from 2^-1000 to 2^1000, with no overflow
+    # warning (the suite turns one into an error)
+    e01, e11 = m2.basis_element(1), m2.basis_element(3)
+    scales = [2.0 ** k for k in range(-1000, 1001)]
+    assert not any((e01 * c).is_hermitian() for c in scales)
+    assert all((e11 * c).is_hermitian() for c in scales)
+
+
 def test_module_product_matches_matrix_product(m2):
     x = m2.a0_basis_element(1)
     a = m2.basis_element(1)

@@ -724,6 +724,41 @@ def test_closure_from_factors_matches_the_twisted_gram_reference():
     assert derived > 100
 
 
+def test_closure_record_ranges_and_directions():
+    # members[:derived] are the kept seeds themselves, in seed order, and
+    # every later member is a twist; members[untwisted:] are the last round's
+    # additions (none when a round added nothing, all at depth 0); labels,
+    # units and kk line up with the nonzero members.  An unbalanced family is
+    # its seeds, with both ranges at the seed count and no factors
+    cases = [(b["instance"], fam) for b in map(load_bundle, BUNDLES) for fam in b["families"].values()]
+    for n in (4, 6, 8):
+        cases += make_corpus(count=3, seed=40 + n, n_min=n, n_max=n)
+    for inst, fam in cases:
+        for depth in (0, 1, 2):
+            c = FormFamily(fam.seeds, True, depth, fam.label).context(inst).closure
+            kept = c.members[:c.derived]
+            assert all(any(m is phi for phi in fam.seeds) for m in kept)
+            assert [fam.seeds.index(m) for m in kept] == sorted(fam.seeds.index(m) for m in kept)
+            rounds = [m.label.count("^tw") for m in c.members]
+            assert rounds == sorted(rounds) and rounds[:c.derived] == [0] * c.derived
+            assert all(r > 0 for r in rounds[c.derived:])
+            if depth == 0:
+                assert c.untwisted == 0
+            elif max(rounds, default=0) == depth:
+                assert c.untwisted == rounds.index(depth)
+            else:
+                assert c.untwisted == len(c.members)
+            assert len(c.factors) == len(c.members) == len(c.grams) == len(c.norms)
+            nonzero = [i for i, gn in enumerate(c.norms) if gn > 0]
+            assert c.labels == [c.members[i].label for i in nonzero]
+            assert len(c.units) == len(c.kk) == len(nonzero)
+            for i, U in zip(nonzero, c.units):
+                assert U.tobytes() == (c.grams[i] / c.norms[i]).tobytes()
+        c = FormFamily(fam.seeds, False, fam.twist_depth, fam.label).context(inst).closure
+        assert c.members is fam.seeds and c.factors == ()
+        assert c.derived == c.untwisted == len(fam.seeds)
+
+
 def test_indefinite_seed_twists_through_its_signed_factor():
     # a seed with a clearly negative eigenvalue keeps it in its factor's signs,
     # so the factor reproduces the Gram, and the closure's twists carry the sign

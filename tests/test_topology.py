@@ -263,6 +263,26 @@ def test_ga_star_consequences_hold(diag):
     assert all(c.passed for c in rep.consequences)
 
 
+def test_ga_star_consequences_fail_a_halved_bound_at_every_form_scale(diag, monkeypatch):
+    # each consequence's gap is relative to its own bound, so halving every
+    # seminorm fails both at any form scale phi -> 2^k phi, and the true
+    # bounds pass at every scale
+    from qstarlab import IpsForm, topology
+    fam = diag["families"]["good"]
+    seminorms = topology.seminorms
+    for halved in (False, True):
+        monkeypatch.setattr(topology, "seminorms",
+                            lambda *args: (0.5 if halved else 1.0) * seminorms(*args))
+        for k in (-400, -60, 0, 60, 400):
+            scaled = FormFamily([IpsForm(phi.kind, 2.0 ** k * phi.payload, phi.label)
+                                 for phi in fam.seeds], fam.balanced, fam.twist_depth, fam.label)
+            rep = ga_star_check(scaled, diag["instance"])
+            passed = {c.name: c.passed for c in rep.consequences}
+            assert rep.verdict
+            assert passed["pairing-bounded-by-star-seminorms"] is not halved, (halved, k)
+            assert passed["vector-bound-for-twisted-sets"] is not halved, (halved, k)
+
+
 def test_ga_star_deterministic(diag):
     a = ga_star_check(diag["families"]["good"], diag["instance"]).as_dict()
     b = ga_star_check(diag["families"]["good"], diag["instance"]).as_dict()
